@@ -21,7 +21,6 @@ from .measurement import (PathwayClass, PathwayNetwork, ProductRuleReport,
                           SumRuleReport, all_outcomes_probability,
                           build_network, certain_reading,
                           conditional_reading_distribution,
-                          perturbed_transition_probability,
                           product_rule_report, sum_rule_report)
 from .meter import (MeterModel, WeakValueResult, mean_reading,
                     reading_amplitude, scaled_widths, weak_limit_convergence,
@@ -49,7 +48,7 @@ __all__ = [
     "conditional_reading_distribution", "decompose", "epsilon_grid",
     "expectation", "fourier_basis", "grid_mean_reading", "hardy",
     "hardy_epsilon", "inner", "load_path", "mean_reading", "normalize",
-    "parse", "perturbed_transition_probability", "product_rule_report",
+    "parse", "product_rule_report",
     "projective_joint", "reading_amplitude", "reading_grid", "scaled_widths",
     "serialize", "sum_rule_report", "tensor", "three_box",
     "transition_probability", "validate", "verification_checks",

@@ -3,8 +3,8 @@
 Subcommands run the built-in scenarios or a scenario file and emit
 tables as aligned text (default), CSV, or JSON.  Every number in the
 output is produced by exactly one library call; this layer only
-formats.  Exit codes: 0 success, 2 bad input or unknown names,
-3 impossible post-selection, 4 numeric failure.
+formats.  Exit codes: 0 on success, 4 when `verify` finds a failure,
+and otherwise the ``exit_code`` of the error raised (see errors.py).
 """
 
 from __future__ import annotations
@@ -16,17 +16,14 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .errors import (MeterStatisticsUndefined, PostSelectionImpossible,
-                     QPathsError, ScenarioParseError, UnknownNameError,
-                     WeakValueUndefined)
+from .errors import PostSelectionImpossible, QPathsError, ScenarioParseError
 from .measurement import (build_network, conditional_reading_distribution,
-                          perturbed_transition_probability,
                           product_rule_report, sum_rule_report)
 from .meter import (MeterModel, mean_reading, scaled_widths, weak_limit_convergence,
                     weak_value)
 from .oracle import verification_checks
 from .pathsum import amplitude_table, decompose, transition_probability
-from .scenario_io import QueryDirective, load_path, validate
+from .scenario_io import QUERY_ARGS, QueryDirective, load_path, validate
 from .scenarios import Scenario, built_in, epsilon_grid, hardy_epsilon
 
 
@@ -223,10 +220,9 @@ def table2_table(scenario: Scenario) -> Table:
     for obs_name, obs in scenario.observables.items():
         for final_name, fin in scenario.finals.items():
             net = build_network(scenario.initial, fin, obs)
-            prob = perturbed_transition_probability(net)
             classes = " ".join(f"{_real_text(c.eigenvalue)}:{_real_text(c.probability)}"
                                for c in net.classes)
-            rows.append((obs_name, final_name, float(prob), classes))
+            rows.append((obs_name, final_name, float(net.perturbed_probability), classes))
     return Table(title=f"measured transition probabilities ({scenario.name})",
                  columns=("observable", "final", "probability", "classes"),
                  rows=tuple(rows))
@@ -255,30 +251,6 @@ def scan_epsilon_table(obs_name: str, final_name: str, start: float,
                  rows=tuple(rows))
 
 
-def execute_query(scenario: Scenario, q: QueryDirective) -> Table:
-    if q.kind == "amplitudes":
-        return amplitudes_table(scenario)
-    if q.kind == "probabilities":
-        return probabilities_table(scenario)
-    if q.kind == "network":
-        return network_table(scenario, q.argument("final"), q.argument("obs"))
-    if q.kind == "weak":
-        return weak_table(scenario, q.argument("final"), q.argument("obs"))
-    if q.kind == "mean-reading":
-        return mean_reading_table(scenario, q.argument("final"), q.argument("obs"),
-                                  float(q.argument("width")))
-    if q.kind == "scan":
-        ratios = tuple(float(p) for p in q.argument("widths").split(",") if p)
-        return width_sweep_table(scenario, q.argument("final"), q.argument("obs"), ratios)
-    if q.kind == "sum-rule":
-        return sum_rule_table(scenario, q.argument("final"),
-                              q.argument("obs"), q.argument("obs2"))
-    if q.kind == "product-rule":
-        return product_rule_table(scenario, q.argument("final"),
-                                  q.argument("obs"), q.argument("obs2"))
-    raise ValueError(f"unhandled query kind {q.kind!r}")
-
-
 def _ratio_list(text: str) -> tuple[float, ...]:
     try:
         ratios = tuple(float(p) for p in text.split(",") if p)
@@ -287,6 +259,26 @@ def _ratio_list(text: str) -> tuple[float, ...]:
     if not ratios or any(not r > 0.0 for r in ratios):
         raise argparse.ArgumentTypeError("widths must be positive numbers")
     return ratios
+
+
+QUERY_TABLES = {
+    "amplitudes": amplitudes_table,
+    "probabilities": probabilities_table,
+    "network": network_table,
+    "weak": weak_table,
+    "mean-reading": mean_reading_table,
+    "scan": width_sweep_table,
+    "sum-rule": sum_rule_table,
+    "product-rule": product_rule_table,
+}
+_QUERY_VALUE_TYPES = {"width": float, "widths": _ratio_list}
+
+
+def execute_query(scenario: Scenario, q: QueryDirective) -> Table:
+    """The kind's table, called with the query's arguments in QUERY_ARGS order."""
+    values = (_QUERY_VALUE_TYPES.get(key, str)(q.argument(key))
+              for key in QUERY_ARGS[q.kind])
+    return QUERY_TABLES[q.kind](scenario, *values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,30 +401,13 @@ def _cmd_run(args):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    file_prefix = f"{getattr(args, 'file', '')}: " if hasattr(args, "file") else ""
     try:
         tables, code = args.handler(args)
-    except ScenarioParseError as exc:
-        print(f"error: {file_prefix}{exc}", file=sys.stderr)
-        return 2
-    except UnknownNameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PostSelectionImpossible, WeakValueUndefined) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except MeterStatisticsUndefined as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except QPathsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (QPathsError, OSError, ValueError) as exc:
+        # only `run` parses a file, so a parse error always has one to name
+        prefix = f"{args.file}: " if isinstance(exc, ScenarioParseError) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", 2)
     sys.stdout.write(emit(args.format, tables))
     return code
 

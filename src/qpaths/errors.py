@@ -1,7 +1,8 @@
 """Exception types raised across the package.
 
 Every library error derives from QPathsError so callers can catch one
-base class.  The command-line interface maps these onto exit codes.
+base class.  Each class carries the exit code the command-line
+interface returns for it.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 class QPathsError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class DimensionMismatch(QPathsError, ValueError):
@@ -30,13 +33,19 @@ class NonOrthogonalFinals(QPathsError, ValueError):
 class PostSelectionImpossible(QPathsError, ValueError):
     """The conditioning event has probability zero."""
 
+    exit_code = 3
+
 
 class WeakValueUndefined(QPathsError, ValueError):
     """Weak values are undefined when the total transition amplitude is zero."""
 
+    exit_code = 3
+
 
 class MeterStatisticsUndefined(QPathsError, ValueError):
     """The meter's conditional reading distribution has zero total weight."""
+
+    exit_code = 4
 
 
 class UnknownNameError(QPathsError, KeyError):

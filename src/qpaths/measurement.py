@@ -13,15 +13,13 @@ which generally differs from the undisturbed |sum_n amp(n)|^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import (DimensionMismatch, NonProjectorError,
                      PostSelectionImpossible)
 from .pathsum import PathDecomposition, decompose
-from .statespace import (DiagonalObservable, KetState, expectation,
-                         fourier_basis)
+from .statespace import DiagonalObservable, KetState, expectation
 
 CERTAINTY_TOL = 1e-10
 
@@ -92,11 +90,6 @@ def build_network(initial: KetState, final: KetState,
     return PathwayNetwork(dec, observable, tuple(classes))
 
 
-def perturbed_transition_probability(network: PathwayNetwork) -> float:
-    """Transition probability after the accurate measurement: sum of class probabilities."""
-    return network.perturbed_probability
-
-
 def conditional_reading_distribution(network: PathwayNetwork) -> dict[float, float]:
     """Distribution of the reading given that the post-selection succeeded.
 
@@ -119,31 +112,16 @@ def certain_reading(network: PathwayNetwork,
     return None
 
 
-def all_outcomes_probability(initial: KetState, observable: DiagonalObservable,
-                             final_basis: Sequence[KetState] | None = None) -> float:
+def all_outcomes_probability(initial: KetState, observable: DiagonalObservable) -> float:
     """Probability that a projector reads 1 when no post-selection is kept.
 
     Summing the reading-1 class probability over any complete orthonormal
-    family of final states gives <i|F|i>, independent of the family.  The
-    direct expectation is returned; the sum over an explicit complete
-    family (Fourier by default) is computed as a cross-check and must
-    agree to 1e-10.
+    family of final states gives <i|F|i>, independent of the family, so
+    the expectation is returned directly.
     """
     if not observable.is_projector:
         raise NonProjectorError("all-outcomes reading-1 probability needs a projector")
-    direct = expectation(initial, observable)
-    finals = tuple(final_basis) if final_basis is not None else fourier_basis(initial.space)
-    summed = 0.0
-    for f in finals:
-        net = build_network(initial, f, observable)
-        try:
-            summed += net.probability_of(1.0)
-        except KeyError:
-            pass
-    if abs(summed - direct) > 1e-10:
-        raise RuntimeError(
-            f"complete-family sum {summed!r} disagrees with expectation {direct!r}")
-    return direct
+    return expectation(initial, observable)
 
 
 @dataclass(frozen=True)

@@ -102,16 +102,19 @@ def weak_value(decomposition: PathDecomposition,
                observable: DiagonalObservable) -> WeakValueResult:
     """sum_n F(n) amp(n) / sum_n amp(n).
 
-    Undefined (raises) when the total transition amplitude is exactly
-    zero.  The result is invariant under rescaling either state and is
-    linear in the observable; for a single contributing path it reduces
-    to that path's eigenvalue.
+    Undefined (raises) when the total transition amplitude is zero to
+    within the rounding error of its sum, |sum amp| <= n eps sum |amp|:
+    below that bound its phase and size are noise.  The result is
+    invariant under rescaling either state and is linear in the
+    observable; for a single contributing path it reduces to that path's
+    eigenvalue.
     """
     _check_spaces(decomposition, observable)
+    amps = decomposition.amplitudes
     total = decomposition.total_amplitude
-    if total == 0.0:
-        raise WeakValueUndefined("total transition amplitude is zero")
-    numerator = complex(np.sum(observable.eigenvalues * decomposition.amplitudes))
+    if abs(total) <= amps.size * np.finfo(float).eps * float(np.abs(amps).sum()):
+        raise WeakValueUndefined("total transition amplitude is zero to within rounding")
+    numerator = complex(np.sum(observable.eigenvalues * amps))
     return WeakValueResult(numerator / total)
 
 

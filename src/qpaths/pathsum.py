@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DimensionMismatch, NonOrthogonalFinals
-from .statespace import ATOL, KetState, StateSpace, inner
+from .statespace import KetState, StateSpace, overlapping_pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,13 +104,10 @@ def amplitude_table(initial: KetState, finals: Mapping[str, KetState],
     for st in states:
         if st.space != initial.space:
             raise DimensionMismatch("final states must share the initial state's space")
-    if require_orthogonal:
-        for a in range(len(states)):
-            for b in range(a + 1, len(states)):
-                overlap = abs(inner(states[a], states[b]))
-                if overlap > 1e-9:
-                    raise NonOrthogonalFinals(
-                        f"finals {names[a]!r} and {names[b]!r} overlap (|<a|b>| = {overlap:.3g})")
+    if require_orthogonal and (pairs := overlapping_pairs(states)):
+        a, b, overlap = pairs[0]
+        raise NonOrthogonalFinals(
+            f"finals {names[a]!r} and {names[b]!r} overlap (|<a|b>| = {overlap:.3g})")
     columns = [decompose(initial, st).amplitudes for st in states]
     values = np.column_stack(columns) if columns else np.zeros((initial.dimension, 0), complex)
     values.setflags(write=False)

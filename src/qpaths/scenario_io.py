@@ -30,23 +30,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScenarioParseError
-from .statespace import DiagonalObservable, KetState, StateSpace, inner
+from .statespace import DiagonalObservable, KetState, StateSpace, overlapping_pairs
 from .scenarios import RESERVED_NAMES, Scenario
 
-QUERY_KINDS = ("amplitudes", "probabilities", "network", "weak", "mean-reading",
-               "scan", "sum-rule", "product-rule")
-
-_QUERY_ARGS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    # kind: (required keys, optional keys)
-    "amplitudes": ((), ()),
-    "probabilities": ((), ()),
-    "network": (("final", "obs"), ()),
-    "weak": (("final", "obs"), ()),
-    "mean-reading": (("final", "obs", "width"), ()),
-    "scan": (("final", "obs", "widths"), ()),
-    "sum-rule": (("final", "obs", "obs2"), ()),
-    "product-rule": (("final", "obs", "obs2"), ()),
+QUERY_ARGS: dict[str, tuple[str, ...]] = {
+    # kind: required argument keys, in the order the kind's table takes them
+    "amplitudes": (),
+    "probabilities": (),
+    "network": ("final", "obs"),
+    "weak": ("final", "obs"),
+    "mean-reading": ("final", "obs", "width"),
+    "scan": ("final", "obs", "widths"),
+    "sum-rule": ("final", "obs", "obs2"),
+    "product-rule": ("final", "obs", "obs2"),
 }
+QUERY_KINDS = tuple(QUERY_ARGS)
 
 _DECIMAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _RATIONAL = r"\d+/\d+"
@@ -361,10 +359,10 @@ def _positive_float(q: QueryDirective, key: str, text: str) -> float:
 
 def _check_query(q: QueryDirective, finals: dict[str, KetState],
                  observables: dict[str, DiagonalObservable]) -> None:
-    required, optional = _QUERY_ARGS[q.kind]
+    required = QUERY_ARGS[q.kind]
     keys = [k for k, _ in q.arguments]
     for key in keys:
-        if key not in required and key not in optional:
+        if key not in required:
             raise _query_error(q, key, f"query {q.kind!r} does not take argument {key!r}")
     for key in required:
         if key not in keys:
@@ -432,12 +430,9 @@ def validate(doc: ScenarioDocument) -> Scenario:
                    for name, row in doc.observables}
 
     names = list(finals)
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            overlap = abs(inner(finals[names[a]], finals[names[b]]))
-            if overlap > 1e-9:
-                notes.append(f"final states {names[a]!r} and {names[b]!r} are not "
-                             f"orthogonal (|overlap| = {overlap:.6g})")
+    for a, b, overlap in overlapping_pairs(list(finals.values())):
+        notes.append(f"final states {names[a]!r} and {names[b]!r} are not "
+                     f"orthogonal (|overlap| = {overlap:.6g})")
 
     for q in doc.queries:
         _check_query(q, finals, observables)

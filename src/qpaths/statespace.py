@@ -9,7 +9,7 @@ All three types are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,6 +128,16 @@ def inner(bra: KetState, ket: KetState) -> complex:
     if bra.space != ket.space:
         raise DimensionMismatch("inner product needs states over the same space")
     return complex(np.vdot(bra.amplitudes, ket.amplitudes))
+
+
+def overlapping_pairs(states: Sequence[KetState]) -> list[tuple[int, int, float]]:
+    """Pairs (a, b, |<a|b>|), a < b, whose overlap exceeds 1e-9, in row order."""
+    if not states:
+        return []
+    rows = np.array([s.amplitudes for s in states])
+    gram = np.abs(np.conjugate(rows) @ rows.T)
+    return [(int(a), int(b), float(gram[a, b]))
+            for a, b in zip(*np.nonzero(np.triu(gram, k=1) > 1e-9))]
 
 
 def normalize(state: KetState) -> KetState:

@@ -14,8 +14,7 @@ from _invariants import assert_all_invariants
 from qpaths import (MeterModel, PostSelectionImpossible, ScenarioParseError,
                     amplitude_table, build_network, built_in, built_in_library,
                     conditional_reading_distribution, decompose,
-                    grid_mean_reading, mean_reading, parse,
-                    perturbed_transition_probability, product_rule_report,
+                    grid_mean_reading, mean_reading, parse, product_rule_report,
                     projective_joint, scaled_widths, sum_rule_report,
                     transition_probability, validate, weak_value)
 from qpaths.cli import amplitudes_table, emit, main, network_table
@@ -172,7 +171,7 @@ def test_criterion_08_three_box_family():
         for box in ("P2", "P3"):
             net = build_network(scenario.initial, final, scenario.observable(box))
             assert certain_reading(net) == 1.0, (beta, box)
-            assert abs(perturbed_transition_probability(net) - beta ** 2) <= 1e-12
+            assert abs(net.perturbed_probability - beta ** 2) <= 1e-12
         assert abs(transition_probability(scenario.initial, final)
                    - beta ** 2) <= 1e-12
         dec = decompose(scenario.initial, final)

@@ -2,10 +2,14 @@ import csv
 import io
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from qpaths.cli import main
+from qpaths.cli import QUERY_TABLES, main
+from qpaths.scenario_io import QUERY_KINDS, load_path
+
+DATA = Path(__file__).parent / "data"
 
 TABLE1_CSV = """\
 path,f,g,h,j,gamma
@@ -159,6 +163,54 @@ def test_exit_code_weak_value_undefined(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", str(target))
     assert code == 3
     assert "amplitude is zero" in err
+
+
+def test_exit_code_weak_value_below_rounding(tmp_path, capsys):
+    # i = (1,1,1)/sqrt(3) against the k=1 Fourier final: |<f|i>| ~ 1.6e-16
+    target = tmp_path / "near.scn"
+    target.write_text("dimension = 3\nbasis = n0 n1 n2\n"
+                      "state i = 1/sqrt(3) 1/sqrt(3) 1/sqrt(3)\n"
+                      "state f = (0.5773502691896258, 0.0) "
+                      "(-0.2886751345948128, -0.5000000000000001) "
+                      "(-0.2886751345948132, 0.4999999999999999)\n"
+                      "observable P0 = 1 0 0\nquery weak final=f obs=P0\n",
+                      encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(target), "--format", "csv")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "amplitude is zero" in err
+
+
+def test_exit_code_product_rule_impossible_postselection(tmp_path, capsys):
+    target = tmp_path / "prod.scn"
+    target.write_text("dimension = 2\nbasis = a b\nstate i = 1 0\nstate f = 0 1\n"
+                      "observable A = 1 0\nobservable B = 0 1\n"
+                      "query product-rule final=f obs=A obs2=B\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(target))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_exit_code_scan_epsilon_without_steps(capsys):
+    code, out, err = run_cli(capsys, "scan-epsilon", "--obs", "N(1+)", "--from", "0.1",
+                             "--to", "1", "--steps", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_run_every_query_kind_csv_golden(capsys):
+    scenario = DATA / "all_queries.scn"
+    assert [q.kind for q in load_path(scenario).queries] == list(QUERY_KINDS)
+    code, out, err = run_cli(capsys, "run", str(scenario), "--format", "csv")
+    assert code == 0
+    assert out == (DATA / "all_queries.csv").read_text(encoding="utf-8")
+    assert err == ""
+
+
+def test_every_query_kind_has_one_table():
+    assert tuple(QUERY_TABLES) == QUERY_KINDS
 
 
 def test_exit_code_meter_undefined(tmp_path, capsys):

@@ -4,8 +4,8 @@ import pytest
 from qpaths import (DiagonalObservable, KetState, MeterModel,
                     MeterStatisticsUndefined, StateSpace, WeakValueUndefined,
                     build_network, conditional_reading_distribution, decompose,
-                    hardy, mean_reading, reading_amplitude, scaled_widths,
-                    three_box, weak_limit_convergence, weak_value)
+                    fourier_basis, hardy, mean_reading, reading_amplitude,
+                    scaled_widths, three_box, weak_limit_convergence, weak_value)
 
 
 def hardy_case(obs_name="N(1-|1+)", final_name="f"):
@@ -103,6 +103,16 @@ def test_weak_value_undefined_for_orthogonal_selection():
     dec = decompose(space.basis_state("a"), space.basis_state("b"))
     with pytest.raises(WeakValueUndefined):
         weak_value(dec, DiagonalObservable(space, [1.0, 0.0]))
+
+
+def test_weak_value_undefined_when_total_is_rounding_noise():
+    # |<f|i>| is 1.6e-16 against sum |amp| = 1: below the n eps sum |amp|
+    # rounding bound of the path sum, so its phase and size are noise
+    space = StateSpace.of_dimension(3)
+    dec = decompose(KetState(space, [1.0, 1.0, 1.0]), fourier_basis(space)[1])
+    assert 0.0 < abs(dec.total_amplitude) < 1e-15
+    with pytest.raises(WeakValueUndefined, match="amplitude is zero"):
+        weak_value(dec, DiagonalObservable(space, [1.0, 0.0, 0.0]))
 
 
 def test_weak_limit_errors_decrease():

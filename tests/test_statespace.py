@@ -4,6 +4,7 @@ import pytest
 from qpaths import (DiagonalObservable, DimensionMismatch, KetState,
                     StateSpace, ZeroStateError, expectation, fourier_basis,
                     inner, normalize, tensor)
+from qpaths.statespace import overlapping_pairs
 
 
 def test_space_basics():
@@ -71,6 +72,24 @@ def test_inner_conjugates_first_argument():
     ket = KetState(space, [1.0, 0.0], normalize=False)
     assert inner(bra, ket) == -1j
     assert inner(ket, bra) == 1j
+
+
+def test_overlapping_pairs_match_pairwise_inner_products():
+    space = StateSpace.of_dimension(3)
+    rng = np.random.default_rng(7)
+    states = [space.basis_state(0), KetState(space, [1, 1, 0]), space.basis_state(2),
+              KetState(space, [0, 5e-10, 1], normalize=False),
+              KetState(space, rng.normal(size=3) + 1j * rng.normal(size=3))]
+    expected = [(a, b, abs(inner(states[a], states[b])))
+                for a in range(len(states)) for b in range(a + 1, len(states))
+                if abs(inner(states[a], states[b])) > 1e-9]
+    got = overlapping_pairs(states)
+    assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in expected]
+    assert (1, 3) not in [(a, b) for a, b, _ in got]  # overlap 3.5e-10 is below 1e-9
+    for (_, _, g), (_, _, e) in zip(got, expected):
+        assert g == pytest.approx(e, abs=1e-15)
+    assert overlapping_pairs(fourier_basis(space)) == []
+    assert overlapping_pairs([]) == []
 
 
 def test_inner_requires_same_space():
