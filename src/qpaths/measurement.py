@@ -72,22 +72,42 @@ class PathwayNetwork:
         return float(abs(self.decomposition.total_amplitude) ** 2)
 
 
+def path_classes(observable: DiagonalObservable, amplitudes: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group path amplitudes by the observable's eigenvalues.
+
+    Returns (values, class_amplitudes, inverse): the distinct eigenvalues
+    largest first, the coherent sum A_a of the amplitudes in each class,
+    and the class index of every path.  Grouping uses the declared
+    eigenvalues exactly, with no floating tolerance; 0.0 and -0.0 form
+    one class, reported as 0.0.
+    """
+    ascending, inverse = np.unique(observable.eigenvalues, return_inverse=True)
+    k = ascending.size
+    values = ascending[::-1] + 0.0
+    inverse = (k - 1) - inverse.reshape(-1)
+    class_amplitudes = (np.bincount(inverse, weights=amplitudes.real, minlength=k)
+                        + 1j * np.bincount(inverse, weights=amplitudes.imag, minlength=k))
+    return values, class_amplitudes, inverse
+
+
 def build_network(initial: KetState, final: KetState,
                   observable: DiagonalObservable) -> PathwayNetwork:
     """Group the transition's paths by the observable's eigenvalues.
 
-    Classes are ordered by eigenvalue, largest first.  Grouping uses the
-    declared eigenvalues exactly; no floating tolerance is applied.
+    Classes are ordered by eigenvalue, largest first; members keep path
+    order.  See path_classes for the grouping rule.
     """
     dec = decompose(initial, final)
     if observable.space != dec.space:
         raise DimensionMismatch("observable lives over a different space than the states")
-    classes = []
-    for ev in observable.distinct_eigenvalues:
-        members = tuple(int(k) for k in np.flatnonzero(observable.eigenvalues == ev))
-        amp = complex(dec.amplitudes[list(members)].sum())
-        classes.append(PathwayClass(ev, members, amp))
-    return PathwayNetwork(dec, observable, tuple(classes))
+    values, class_amplitudes, inverse = path_classes(observable, dec.amplitudes)
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(np.bincount(inverse, minlength=values.size))[:-1]
+    classes = tuple(PathwayClass(float(ev), tuple(members.tolist()), complex(amp))
+                    for ev, members, amp in zip(values, np.split(order, bounds),
+                                                class_amplitudes))
+    return PathwayNetwork(dec, observable, classes)
 
 
 def conditional_reading_distribution(network: PathwayNetwork) -> dict[float, float]:

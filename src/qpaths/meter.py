@@ -1,22 +1,25 @@
 """Finite-accuracy Gaussian meters and the weak-value limit.
 
 A meter of accuracy width w starts in the unit-norm pointer state
-G(x) = (2 pi w^2)^(-1/4) exp(-x^2 / (4 w^2)) and couples so that path n
-shifts the pointer by F(n).  Post-selecting the system leaves the
-pointer in Psi(x) = sum_n G(x - F(n)) amp(n).
+G(x) = (2 pi)^(-1/4) w^(-1/2) exp(-(x/w)^2 / 4) and couples so that
+path n shifts the pointer by F(n).  Paths with the same eigenvalue a
+shift it alike, so post-selecting the system leaves the pointer in
 
-Overlaps of shifted pointer states give the reading statistics in
-closed form: int G(x-a) G(x-b) dx = exp(-(a-b)^2 / (8 w^2)) and the
-same integral weighted by x carries the extra factor (a+b)/2.  Hence
+    Psi(x) = sum_a G(x - a) A_a,    A_a = sum_{n: F(n) = a} amp(n),
 
-    <x> = sum_{nm} (F(n)+F(m))/2 Re(amp(n) conj(amp(m))) K_nm
-          --------------------------------------------------
-          sum_{nm}                Re(amp(n) conj(amp(m))) K_nm
+a sum over pathway classes (measurement.path_classes).  Overlaps of
+shifted pointer states give the reading statistics in closed form:
+int G(x-a) G(x-b) dx = K_ab = exp(-((a-b)/w)^2 / 8), and the same
+integral weighted by x carries the extra factor (a+b)/2.  By the
+symmetry of Re(A_a conj(A_b)) K_ab,
 
-with K_nm = exp(-(F(n)-F(m))^2 / (8 w^2)).  As w grows, K_nm -> 1 and
-the mean approaches Re[ sum_n F(n) amp(n) / sum_n amp(n) ]: the weak
-value.  As w -> 0 the cross terms die and the mean becomes the
-eigenvalue average under the conditional reading distribution.
+    <x> = sum_a a R_a / sum_a R_a,    R_a = sum_b Re(A_a conj(A_b)) K_ab.
+
+Two limits bracket the meter.  As w -> 0, K -> I: the cross terms die,
+R_a = |A_a|^2, and the mean is the eigenvalue average under the
+conditional reading distribution of an accurate measurement.  As
+w -> infinity, K -> 1: R_a = Re(A_a conj(sum_b A_b)), and the mean is
+Re[ sum_a a A_a / sum_a A_a ], the real part of the weak value.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, MeterStatisticsUndefined,
                      WeakValueUndefined)
+from .measurement import path_classes
 from .pathsum import PathDecomposition
 from .statespace import DiagonalObservable
 
@@ -44,8 +48,9 @@ class MeterModel:
 
     def pointer_amplitude(self, x):
         """Initial pointer wave amplitude at x; unit square-integral norm."""
-        w2 = self.width ** 2
-        return (2.0 * np.pi * w2) ** -0.25 * np.exp(-np.asarray(x) ** 2 / (4.0 * w2))
+        with np.errstate(over="ignore"):
+            gauss = np.exp(-(np.asarray(x) / self.width) ** 2 / 4.0)
+        return (2.0 * np.pi) ** -0.25 * self.width ** -0.5 * gauss
 
 
 def _check_spaces(decomposition: PathDecomposition,
@@ -57,33 +62,32 @@ def _check_spaces(decomposition: PathDecomposition,
 def reading_amplitude(decomposition: PathDecomposition,
                       observable: DiagonalObservable,
                       meter: MeterModel, x):
-    """Pointer amplitude Psi(x) after the measurement and post-selection.
+    """Pointer amplitude Psi(x) = sum_a G(x - a) A_a over pathway classes.
 
     Accepts a scalar or an array of pointer positions.
     """
     _check_spaces(decomposition, observable)
-    shifts = np.asarray(x, dtype=float)[..., np.newaxis] - observable.eigenvalues
-    values = meter.pointer_amplitude(shifts) @ decomposition.amplitudes
-    return complex(values) if np.isscalar(x) or np.asarray(x).ndim == 0 else values
+    values, class_amplitudes, _ = path_classes(observable, decomposition.amplitudes)
+    shifts = np.asarray(x, dtype=float)[..., np.newaxis] - values
+    result = meter.pointer_amplitude(shifts) @ class_amplitudes
+    return complex(result) if np.isscalar(x) or np.asarray(x).ndim == 0 else result
 
 
 def mean_reading(decomposition: PathDecomposition,
                  observable: DiagonalObservable,
                  meter: MeterModel) -> float:
-    """Mean pointer reading, in closed form via Gaussian overlap kernels."""
+    """Mean pointer reading, in closed form via the class overlap kernel."""
     _check_spaces(decomposition, observable)
-    evs = observable.eigenvalues
-    amps = decomposition.amplitudes
-    cross = np.real(np.outer(amps, np.conjugate(amps)))
-    diff = evs[:, None] - evs[None, :]
-    kernel = np.exp(-diff ** 2 / (8.0 * meter.width ** 2))
-    weighted = cross * kernel
-    denominator = float(weighted.sum())
+    values, class_amplitudes, _ = path_classes(observable, decomposition.amplitudes)
+    re, im = class_amplitudes.real, class_amplitudes.imag
+    with np.errstate(over="ignore"):
+        kernel = np.exp(-((values[:, None] - values[None, :]) / meter.width) ** 2 / 8.0)
+    rows = ((np.outer(re, re) + np.outer(im, im)) * kernel).sum(axis=1)
+    denominator = float(rows.sum())
     if not (denominator > 1e-300):
         raise MeterStatisticsUndefined(
             "post-selection succeeds with probability zero; no reading distribution")
-    centers = 0.5 * (evs[:, None] + evs[None, :])
-    return float((centers * weighted).sum() / denominator)
+    return float(values @ rows / denominator)
 
 
 @dataclass(frozen=True)

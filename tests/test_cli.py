@@ -100,6 +100,32 @@ def test_sweep_width_errors_decrease(capsys):
     assert errors[-1] < 1e-3
 
 
+@pytest.mark.parametrize("ratio, expected", [
+    ("1e-320", "0.2"),  # accurate limit: the conditional average
+    ("1e308", "-1"),    # weak limit: the weak value
+])
+def test_sweep_width_at_float_limits(capsys, ratio, expected):
+    code, out, err = run_cli(capsys, "sweep-width", "--final", "f",
+                             "--obs", "N(1-|1+)", "--widths", ratio, "--format", "csv")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[1].split(",")[2] == expected
+
+
+@pytest.mark.parametrize("width, expected", [("1e-320", "0.2"), ("1e308", "-1")])
+def test_mean_reading_query_at_float_limits(tmp_path, capsys, width, expected):
+    target = tmp_path / "limits.scn"
+    target.write_text("dimension = 5\nbasis = a b c d e\n"
+                      "state i = 1/2 1/2 1/2 0 1/2\nstate f = 1/2 -1/2 -1/2 1/2 0\n"
+                      "observable A = 1 0 0 0 0\n"
+                      f"query mean-reading final=f obs=A width={width}\n",
+                      encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(target), "--format", "csv")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[-1].split(",")[-1] == expected
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--format", "csv")
     assert code == 0
@@ -221,6 +247,18 @@ def test_exit_code_meter_undefined(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", str(target))
     assert code == 4
     assert "probability zero" in err
+
+
+def test_scan_reports_undefined_weak_value_before_later_widths(tmp_path, capsys):
+    # <f|i> = 0: the first mean reading is defined, the weak value is not,
+    # and at the second width K rounds to 1 so the mean is undefined too
+    target = tmp_path / "scan.scn"
+    target.write_text("dimension = 2\nbasis = a b\nstate i = 1 1\nstate f = 1 -1\n"
+                      "observable A = 1 0\nquery scan final=f obs=A widths=0.01,1e10\n",
+                      encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", str(target))
+    assert code == 3
+    assert "amplitude is zero" in err
 
 
 def test_network_query_with_impossible_selection_shows_undefined(tmp_path, capsys):

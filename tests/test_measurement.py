@@ -58,6 +58,17 @@ def test_classes_partition_and_order():
         net.class_for(7.0)
 
 
+def test_signed_zero_eigenvalues_form_one_class():
+    space = StateSpace.of_dimension(3)
+    obs = DiagonalObservable(space, [-0.0, 1.0, 0.0])
+    net = build_network(KetState(space, [1, 1, 1]), KetState(space, [1, 2, 3]), obs)
+    assert net.eigenvalues == (1.0, 0.0)
+    zero = net.class_for(0.0)
+    assert zero.members == (0, 2)
+    assert zero.multiplicity == 2
+    assert zero.amplitude == pytest.approx(4.0 / 42 ** 0.5, abs=1e-15)
+
+
 def test_conditional_distribution():
     dist = conditional_reading_distribution(hardy_network("f", "N(1-|1+)"))
     assert dist == {1.0: 0.2, 0.0: 0.8}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,22 @@ def test_strong_limit_matches_conditional_average_elsewhere():
     dist = conditional_reading_distribution(build_network(sc.initial, sc.final("j"), obs))
     expected = sum(ev * p for ev, p in dist.items())
     assert mean_reading(dec, obs, MeterModel(0.01)) == pytest.approx(expected, abs=1e-3)
+
+
+def test_class_kernel_allocates_no_path_by_path_array():
+    # an n x n float array over paths alone would take 32 MB at n = 2048
+    rng = np.random.default_rng(7)
+    space = StateSpace.of_dimension(2048)
+    dec = decompose(KetState(space, rng.normal(size=2048) + 1j * rng.normal(size=2048)),
+                    KetState(space, rng.normal(size=2048) + 1j * rng.normal(size=2048)))
+    obs = DiagonalObservable(space, rng.integers(0, 2, size=2048))
+    meter = MeterModel(1.0)
+    x = np.linspace(-8.0, 9.0, 512)
+    tracemalloc.start()
+    try:
+        mean_reading(dec, obs, meter)
+        reading_amplitude(dec, obs, meter, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
