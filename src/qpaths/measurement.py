@@ -84,8 +84,8 @@ def path_classes(observable: DiagonalObservable, amplitudes: np.ndarray
     """
     ascending, inverse = np.unique(observable.eigenvalues, return_inverse=True)
     k = ascending.size
-    values = ascending[::-1] + 0.0
-    inverse = (k - 1) - inverse.reshape(-1)
+    values = ascending[::-1] + 0.0  # adding 0.0 turns a -0.0 representative into 0.0
+    inverse = (k - 1) - inverse
     class_amplitudes = (np.bincount(inverse, weights=amplitudes.real, minlength=k)
                         + 1j * np.bincount(inverse, weights=amplitudes.imag, minlength=k))
     return values, class_amplitudes, inverse
