@@ -15,6 +15,13 @@ symmetry of Re(A_a conj(A_b)) K_ab,
 
     <x> = sum_a a R_a / sum_a R_a,    R_a = sum_b Re(A_a conj(A_b)) K_ab.
 
+Since Re(A_a conj(A_b)) = Re A_a Re A_b + Im A_a Im A_b, the rows are a
+kernel-vector product, R_a = Re A_a (K Re A)_a + Im A_a (K Im A)_a.  K
+is built BLOCK_ROWS rows at a time and multiplied by the k x 2 matrix
+[Re A, Im A], so a mean reading over k classes holds O(BLOCK_ROWS k)
+floats, never a k x k array.  The pointer amplitude sums over the same
+blocks of classes.
+
 Two limits bracket the meter.  As w -> 0, K -> I: the cross terms die,
 R_a = |A_a|^2, and the mean is the eigenvalue average under the
 conditional reading distribution of an accurate measurement.  As
@@ -34,6 +41,10 @@ from .errors import (DimensionMismatch, MeterStatisticsUndefined,
 from .measurement import path_classes
 from .pathsum import PathDecomposition
 from .statespace import DiagonalObservable
+
+# classes per block: rows of K formed at once in a mean reading, and terms
+# of the pointer sum formed at once in a reading amplitude
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -68,9 +79,35 @@ def reading_amplitude(decomposition: PathDecomposition,
     """
     _check_spaces(decomposition, observable)
     values, class_amplitudes, _ = path_classes(observable, decomposition.amplitudes)
-    shifts = np.asarray(x, dtype=float)[..., np.newaxis] - values
-    result = meter.pointer_amplitude(shifts) @ class_amplitudes
-    return complex(result) if np.isscalar(x) or np.asarray(x).ndim == 0 else result
+    x = np.asarray(x, dtype=float)
+    result = np.zeros(x.shape, dtype=complex)
+    for start in range(0, values.size, BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        result += meter.pointer_amplitude(x[..., np.newaxis] - values[block]) \
+            @ class_amplitudes[block]
+    return complex(result) if result.ndim == 0 else result
+
+
+def _class_mean(values: np.ndarray, class_amplitudes: np.ndarray,
+                meter: MeterModel) -> float:
+    """sum_a a R_a / sum_a R_a, with K formed one block of rows at a time."""
+    parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
+    rows = np.empty(values.size)
+    for start in range(0, values.size, BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        # (a - b)/w overflows to inf for tiny widths, and exp(-inf) makes K_ab 0
+        with np.errstate(over="ignore"):
+            kernel = np.subtract.outer(values[block], values)
+            kernel /= meter.width
+            np.square(kernel, out=kernel)
+        kernel *= -1.0 / 8.0
+        np.exp(kernel, out=kernel)
+        rows[block] = ((kernel @ parts) * parts[block]).sum(axis=1)
+    denominator = float(rows.sum())
+    if not (denominator > 1e-300):
+        raise MeterStatisticsUndefined(
+            "post-selection succeeds with probability zero; no reading distribution")
+    return float(values @ rows / denominator)
 
 
 def mean_reading(decomposition: PathDecomposition,
@@ -79,15 +116,7 @@ def mean_reading(decomposition: PathDecomposition,
     """Mean pointer reading, in closed form via the class overlap kernel."""
     _check_spaces(decomposition, observable)
     values, class_amplitudes, _ = path_classes(observable, decomposition.amplitudes)
-    re, im = class_amplitudes.real, class_amplitudes.imag
-    with np.errstate(over="ignore"):
-        kernel = np.exp(-((values[:, None] - values[None, :]) / meter.width) ** 2 / 8.0)
-    rows = ((np.outer(re, re) + np.outer(im, im)) * kernel).sum(axis=1)
-    denominator = float(rows.sum())
-    if not (denominator > 1e-300):
-        raise MeterStatisticsUndefined(
-            "post-selection succeeds with probability zero; no reading distribution")
-    return float(values @ rows / denominator)
+    return _class_mean(values, class_amplitudes, meter)
 
 
 @dataclass(frozen=True)
@@ -127,7 +156,8 @@ def weak_limit_convergence(decomposition: PathDecomposition,
                            widths: Sequence[float]) -> tuple[float, ...]:
     """Absolute error of the mean reading against the weak value, per width."""
     target = weak_value(decomposition, observable).reported
-    return tuple(abs(mean_reading(decomposition, observable, MeterModel(w)) - target)
+    values, class_amplitudes, _ = path_classes(observable, decomposition.amplitudes)
+    return tuple(abs(_class_mean(values, class_amplitudes, MeterModel(w)) - target)
                  for w in widths)
 
 

@@ -1,4 +1,4 @@
-"""Randomized-scenario invariant checks shared by the property and acceptance suites."""
+"""Randomized-scenario invariant checks and path-level meter references shared by the suites."""
 
 from __future__ import annotations
 
@@ -14,6 +14,22 @@ TOL = 1e-10
 # ill-conditioned in floating point without being wrong; the suite
 # conditions on a modest overlap so roundoff stays far below TOL
 MIN_OVERLAP = 0.05
+
+
+def dense_mean_reading(evs, amps, width):
+    """Path-level reference: (numerator, denominator) of <x> over n x n path pairs."""
+    cross = np.real(np.outer(amps, np.conjugate(amps)))
+    diff = evs[:, None] - evs[None, :]
+    weighted = cross * np.exp(-diff ** 2 / (8.0 * width ** 2))
+    centers = 0.5 * (evs[:, None] + evs[None, :])
+    return float((centers * weighted).sum()), float(weighted.sum())
+
+
+def dense_reading_amplitude(evs, amps, width, x):
+    """Path-level reference: sum_n G(x - F(n)) amp(n) at every point of x."""
+    pointer = (2 * np.pi * width ** 2) ** -0.25 * np.exp(
+        -(x[:, None] - evs[None, :]) ** 2 / (4 * width ** 2))
+    return pointer @ amps
 
 
 def random_case(rng: np.random.Generator, max_dim: int = 8):

@@ -1,13 +1,16 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from _invariants import dense_mean_reading, dense_reading_amplitude
 from qpaths import (DiagonalObservable, KetState, MeterModel,
                     MeterStatisticsUndefined, StateSpace, WeakValueUndefined,
                     build_network, conditional_reading_distribution, decompose,
                     fourier_basis, hardy, mean_reading, reading_amplitude,
                     scaled_widths, three_box, weak_limit_convergence, weak_value)
+from qpaths.meter import BLOCK_ROWS
 
 
 def hardy_case(obs_name="N(1-|1+)", final_name="f"):
@@ -159,3 +162,77 @@ def test_class_kernel_allocates_no_path_by_path_array():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+# 600 classes span three kernel blocks, the last one partial
+BLOCKED_N = 600
+
+
+def random_transition(n, seed):
+    rng = np.random.default_rng(seed)
+    space = StateSpace.of_dimension(n)
+    dec = decompose(KetState(space, rng.normal(size=n) + 1j * rng.normal(size=n)),
+                    KetState(space, rng.normal(size=n) + 1j * rng.normal(size=n)))
+    return space, dec, rng
+
+
+def blocked_spectra():
+    space, dec, rng = random_transition(BLOCKED_N, 11)
+    distinct = rng.permutation(np.linspace(-1.0, 2.0, BLOCKED_N))
+    few = rng.choice([-1.0, 0.0, 0.5, 2.0], size=BLOCKED_N)
+    return dec, {"distinct": DiagonalObservable(space, distinct),
+                 "few": DiagonalObservable(space, few)}
+
+
+@pytest.mark.parametrize("spectrum", ["distinct", "few"])
+def test_class_meter_matches_path_level_sums_across_blocks(spectrum):
+    assert 2 * BLOCK_ROWS < BLOCKED_N < 3 * BLOCK_ROWS
+    dec, observables = blocked_spectra()
+    obs = observables[spectrum]
+    evs, amps = obs.eigenvalues, dec.amplitudes
+    scale = float(np.sum(np.abs(amps) ** 2))
+    for width in scaled_widths(obs, (0.01, 1.0, 100.0)):
+        numerator, denominator = dense_mean_reading(evs, amps, width)
+        assert mean_reading(dec, obs, MeterModel(width)) == pytest.approx(
+            numerator / denominator, abs=1e-12 * scale / abs(denominator))
+        x = np.linspace(evs.min() - 3 * width, evs.max() + 3 * width, 9)
+        np.testing.assert_allclose(
+            reading_amplitude(dec, obs, MeterModel(width), x),
+            dense_reading_amplitude(evs, amps, width, x), rtol=0.0,
+            atol=1e-12 * (2 * np.pi * width ** 2) ** -0.25 * float(np.abs(amps).sum()))
+
+
+def test_blocked_meter_limits_at_float_extremes():
+    dec, observables = blocked_spectra()
+    obs = observables["distinct"]
+    amps = dec.amplitudes
+    # every eigenvalue is its own class, so the path probabilities are the class ones
+    probabilities = np.abs(amps) ** 2
+    conditional = float(obs.eigenvalues @ probabilities / probabilities.sum())
+    scale = float(probabilities.sum())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strong = mean_reading(dec, obs, MeterModel(1e-320))
+        weak = mean_reading(dec, obs, MeterModel(1e308))
+    assert strong == pytest.approx(conditional, abs=1e-12)
+    assert weak == pytest.approx(weak_value(dec, obs).reported,
+                                 abs=1e-12 * scale / abs(dec.total_amplitude) ** 2)
+
+
+def test_class_kernel_memory_is_linear_in_distinct_classes():
+    # a k x k float array takes 32 MB at k = 2048, and an X x k one 8 MB at X = 512
+    space, dec, rng = random_transition(2048, 7)
+    obs = DiagonalObservable(space, rng.permutation(2048))
+    meter = MeterModel(obs.spread)
+    x = np.linspace(-8.0, 2056.0, 512)
+    peaks = []
+    for call in (lambda: mean_reading(dec, obs, meter),
+                 lambda: reading_amplitude(dec, obs, meter, x)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 16_000_000
+    assert peaks[1] < 8_000_000

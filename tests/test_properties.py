@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _invariants import assert_all_invariants
+from _invariants import (assert_all_invariants, dense_mean_reading,
+                         dense_reading_amplitude)
 from qpaths import (DiagonalObservable, KetState, MeterModel, ScenarioDocument,
                     ScenarioParseError, StateSpace, decompose, expectation,
                     inner, mean_reading, normalize, parse, reading_amplitude,
@@ -82,15 +83,6 @@ def test_weak_value_linearity_and_identity(case, data):
     assert weak_value(dec, identity).complex_value == pytest.approx(1.0, abs=1e-10)
 
 
-def dense_mean_reading(evs, amps, width):
-    """Path-level reference: (numerator, denominator) of <x> over n x n path pairs."""
-    cross = np.real(np.outer(amps, np.conjugate(amps)))
-    diff = evs[:, None] - evs[None, :]
-    weighted = cross * np.exp(-diff ** 2 / (8.0 * width ** 2))
-    centers = 0.5 * (evs[:, None] + evs[None, :])
-    return float((centers * weighted).sum()), float(weighted.sum())
-
-
 @given(spaces_with_vectors(count=2, max_dim=12), st.data(),
        st.floats(min_value=0.01, max_value=100.0))
 @settings(max_examples=200)
@@ -112,10 +104,9 @@ def test_class_meter_matches_path_level_sums(case, data, ratio):
             numerator / denominator, abs=1e-12 * scale / abs(denominator))
 
     x = np.concatenate([evs, np.linspace(evs.min() - 3 * width, evs.max() + 3 * width, 7)])
-    pointer = (2 * np.pi * width ** 2) ** -0.25 * np.exp(
-        -(x[:, None] - evs[None, :]) ** 2 / (4 * width ** 2))
     np.testing.assert_allclose(
-        reading_amplitude(dec, obs, meter, x), pointer @ amps, rtol=0.0,
+        reading_amplitude(dec, obs, meter, x), dense_reading_amplitude(evs, amps, width, x),
+        rtol=0.0,
         atol=1e-12 * (2 * np.pi * width ** 2) ** -0.25 * float(np.abs(amps).sum()))
 
 
