@@ -88,9 +88,12 @@ def reading_amplitude(decomposition: PathDecomposition,
     return complex(result) if result.ndim == 0 else result
 
 
-def _class_mean(values: np.ndarray, class_amplitudes: np.ndarray,
-                meter: MeterModel) -> float:
-    """sum_a a R_a / sum_a R_a, with K formed one block of rows at a time."""
+def mean_reading(decomposition: PathDecomposition,
+                 observable: DiagonalObservable,
+                 meter: MeterModel) -> float:
+    """Mean pointer reading, in closed form via the class overlap kernel."""
+    _check_spaces(decomposition, observable)
+    values, class_amplitudes, _ = path_classes(observable, decomposition.amplitudes)
     parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
     rows = np.empty(values.size)
     for start in range(0, values.size, BLOCK_ROWS):
@@ -108,15 +111,6 @@ def _class_mean(values: np.ndarray, class_amplitudes: np.ndarray,
         raise MeterStatisticsUndefined(
             "post-selection succeeds with probability zero; no reading distribution")
     return float(values @ rows / denominator)
-
-
-def mean_reading(decomposition: PathDecomposition,
-                 observable: DiagonalObservable,
-                 meter: MeterModel) -> float:
-    """Mean pointer reading, in closed form via the class overlap kernel."""
-    _check_spaces(decomposition, observable)
-    values, class_amplitudes, _ = path_classes(observable, decomposition.amplitudes)
-    return _class_mean(values, class_amplitudes, meter)
 
 
 @dataclass(frozen=True)
@@ -156,8 +150,7 @@ def weak_limit_convergence(decomposition: PathDecomposition,
                            widths: Sequence[float]) -> tuple[float, ...]:
     """Absolute error of the mean reading against the weak value, per width."""
     target = weak_value(decomposition, observable).reported
-    values, class_amplitudes, _ = path_classes(observable, decomposition.amplitudes)
-    return tuple(abs(_class_mean(values, class_amplitudes, MeterModel(w)) - target)
+    return tuple(abs(mean_reading(decomposition, observable, MeterModel(w)) - target)
                  for w in widths)
 
 
