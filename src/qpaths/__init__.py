@@ -25,8 +25,8 @@ from .measurement import (PathwayClass, PathwayNetwork, ProductRuleReport,
 from .meter import (MeterModel, WeakValueResult, mean_reading,
                     reading_amplitude, scaled_widths, weak_limit_convergence,
                     weak_value)
-from .oracle import (CheckResult, ReadingGrid, grid_mean_reading,
-                     projective_joint, reading_grid, verification_checks)
+from .oracle import (CheckResult, grid_mean_reading, projective_joint,
+                     verification_checks)
 from .scenarios import (RESERVED_NAMES, Scenario, built_in, built_in_library,
                         epsilon_grid, hardy, hardy_epsilon, three_box)
 from .scenario_io import (QueryDirective, ScenarioDocument, load_path, parse,
@@ -39,7 +39,7 @@ __all__ = [
     "DimensionMismatch", "KetState", "MeterModel", "MeterStatisticsUndefined",
     "NonOrthogonalFinals", "NonProjectorError", "PathDecomposition",
     "PathwayClass", "PathwayNetwork", "PostSelectionImpossible",
-    "ProductRuleReport", "QPathsError", "QueryDirective", "ReadingGrid",
+    "ProductRuleReport", "QPathsError", "QueryDirective",
     "RESERVED_NAMES", "Scenario", "ScenarioDocument", "ScenarioParseError",
     "StateSpace", "SumRuleReport", "UnknownNameError", "WeakValueResult",
     "WeakValueUndefined", "ZeroStateError",
@@ -49,7 +49,7 @@ __all__ = [
     "expectation", "fourier_basis", "grid_mean_reading", "hardy",
     "hardy_epsilon", "inner", "load_path", "mean_reading", "normalize",
     "parse", "product_rule_report",
-    "projective_joint", "reading_amplitude", "reading_grid", "scaled_widths",
+    "projective_joint", "reading_amplitude", "scaled_widths",
     "serialize", "sum_rule_report", "tensor", "three_box",
     "transition_probability", "validate", "verification_checks",
     "weak_limit_convergence", "weak_value",

@@ -21,7 +21,7 @@ from .measurement import (build_network, conditional_reading_distribution,
                           product_rule_report, sum_rule_report)
 from .meter import MeterModel, mean_reading, scaled_widths, weak_value
 from .oracle import verification_checks
-from .pathsum import amplitude_table, decompose, transition_probability
+from .pathsum import amplitude_table, decompose
 from .scenario_io import QUERY_ARGS, QueryDirective, load_path, validate
 from .scenarios import Scenario, built_in, epsilon_grid, hardy_epsilon
 
@@ -115,8 +115,7 @@ def probabilities_table(scenario: Scenario) -> Table:
     rows = []
     for name, fin in scenario.finals.items():
         amp = decompose(scenario.initial, fin).total_amplitude
-        prob = transition_probability(scenario.initial, fin)
-        rows.append((name, complex(amp), float(prob)))
+        rows.append((name, complex(amp), float(abs(amp) ** 2)))
     return Table(title=f"transition probabilities ({scenario.name})",
                  columns=("final", "amplitude", "probability"),
                  rows=tuple(rows))

@@ -122,12 +122,11 @@ def conditional_reading_distribution(network: PathwayNetwork) -> dict[float, flo
     return {c.eigenvalue: c.probability / total for c in network.classes}
 
 
-def certain_reading(network: PathwayNetwork,
-                    tol: float = CERTAINTY_TOL) -> float | None:
+def certain_reading(network: PathwayNetwork) -> float | None:
     """The reading obtained with conditional probability 1, if any."""
     dist = conditional_reading_distribution(network)
     for ev, p in dist.items():
-        if p >= 1.0 - tol:
+        if p >= 1.0 - CERTAINTY_TOL:
             return ev
     return None
 
@@ -164,8 +163,7 @@ class SumRuleReport:
 
 
 def sum_rule_report(initial: KetState, final: KetState,
-                    first: DiagonalObservable, second: DiagonalObservable,
-                    tol: float = CERTAINTY_TOL) -> SumRuleReport:
+                    first: DiagonalObservable, second: DiagonalObservable) -> SumRuleReport:
     """Compare reading-1 probabilities of two disjoint projectors and their sum."""
     if not (first.is_projector and second.is_projector):
         raise NonProjectorError("sum rule applies to projectors")
@@ -187,9 +185,9 @@ def sum_rule_report(initial: KetState, final: KetState,
     ac = all_outcomes_probability(initial, combined)
     return SumRuleReport(
         joint_first=ja, joint_second=jb, joint_combined=jc,
-        holds_postselected=abs(jc - (ja + jb)) <= tol,
+        holds_postselected=abs(jc - (ja + jb)) <= CERTAINTY_TOL,
         all_outcomes_first=aa, all_outcomes_second=ab, all_outcomes_combined=ac,
-        holds_all_outcomes=abs(ac - (aa + ab)) <= tol,
+        holds_all_outcomes=abs(ac - (aa + ab)) <= CERTAINTY_TOL,
     )
 
 
@@ -209,18 +207,18 @@ class ProductRuleReport:
 
 
 def product_rule_report(initial: KetState, final: KetState,
-                        first: DiagonalObservable, second: DiagonalObservable,
-                        tol: float = CERTAINTY_TOL) -> ProductRuleReport:
+                        first: DiagonalObservable, second: DiagonalObservable
+                        ) -> ProductRuleReport:
     """Check whether certain readings of two projectors multiply through."""
     if not (first.is_projector and second.is_projector):
         raise NonProjectorError("product rule applies to projectors")
     product = DiagonalObservable(first.space, first.eigenvalues * second.eigenvalues)
-    ca = certain_reading(build_network(initial, final, first), tol)
-    cb = certain_reading(build_network(initial, final, second), tol)
-    cp = certain_reading(build_network(initial, final, product), tol)
+    ca = certain_reading(build_network(initial, final, first))
+    cb = certain_reading(build_network(initial, final, second))
+    cp = certain_reading(build_network(initial, final, product))
     if ca is None or cb is None:
         holds = True  # no joint certainty claimed, nothing to contradict
     else:
-        holds = cp is not None and abs(cp - ca * cb) <= tol
+        holds = cp is not None and abs(cp - ca * cb) <= CERTAINTY_TOL
     return ProductRuleReport(certain_first=ca, certain_second=cb,
                              certain_product=cp, holds=holds)

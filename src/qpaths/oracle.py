@@ -45,47 +45,20 @@ def projective_joint(initial: KetState, final: KetState,
     return result
 
 
-@dataclass(frozen=True)
-class ReadingGrid:
-    """Uniform pointer-position grid for numerical reading statistics."""
-
-    lo: float
-    hi: float
-    points: int
-
-    def __post_init__(self):
-        if self.points < 4096:
-            raise ValueError("reading grid needs at least 4096 points")
-        if not self.hi > self.lo:
-            raise ValueError("reading grid needs hi > lo")
-
-    @property
-    def samples(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.points)
-
-
-def reading_grid(observable: DiagonalObservable, meter: MeterModel,
-                 points: int = GRID_POINTS) -> ReadingGrid:
-    """Grid covering every shifted pointer packet out to eight widths."""
-    pad = GRID_PADDING * meter.width
-    return ReadingGrid(float(observable.eigenvalues.min()) - pad,
-                       float(observable.eigenvalues.max()) + pad,
-                       points)
-
-
 def grid_mean_reading(decomposition: PathDecomposition,
                       observable: DiagonalObservable,
                       meter: MeterModel,
-                      grid: ReadingGrid | None = None) -> float:
-    """Mean pointer reading by trapezoid integration of the pointer density."""
-    if grid is None:
-        grid = reading_grid(observable, meter)
-    else:
-        pad = GRID_PADDING * meter.width
-        if (grid.lo > float(observable.eigenvalues.min()) - pad
-                or grid.hi < float(observable.eigenvalues.max()) + pad):
-            raise ValueError("grid does not cover the pointer packets out to eight widths")
-    x = grid.samples
+                      points: int = GRID_POINTS) -> float:
+    """Mean pointer reading by trapezoid integration of the pointer density.
+
+    The uniform grid covers every shifted pointer packet out to eight
+    widths on each side.
+    """
+    if points < 4096:
+        raise ValueError("reading grid needs at least 4096 points")
+    pad = GRID_PADDING * meter.width
+    x = np.linspace(float(observable.eigenvalues.min()) - pad,
+                    float(observable.eigenvalues.max()) + pad, points)
     density = np.abs(reading_amplitude(decomposition, observable, meter, x)) ** 2
     weight = float(np.trapezoid(density, x))
     if not (weight > 1e-300):
@@ -117,12 +90,12 @@ REFINEMENT_TOL = 1e-8
 WIDTH_RATIOS = (0.01, 0.1, 1.0, 10.0, 100.0)
 
 
-def verification_checks(beta: float = 0.5, epsilon: float = 0.5) -> list[CheckResult]:
+def verification_checks() -> list[CheckResult]:
     """Cross-validate both computation routes over the built-in scenarios."""
     from .scenarios import built_in_library
 
     checks: list[CheckResult] = []
-    library = built_in_library(beta=beta, epsilon=epsilon)
+    library = built_in_library()
 
     for scenario in library:
         for obs_name, obs in scenario.observables.items():
@@ -156,8 +129,8 @@ def verification_checks(beta: float = 0.5, epsilon: float = 0.5) -> list[CheckRe
     obs = next(iter(hardy.observables.values()))
     dec = decompose(hardy.initial, fin)
     meter = MeterModel(obs.spread)
-    coarse = grid_mean_reading(dec, obs, meter, reading_grid(obs, meter, GRID_POINTS))
-    fine = grid_mean_reading(dec, obs, meter, reading_grid(obs, meter, 2 * GRID_POINTS))
+    coarse = grid_mean_reading(dec, obs, meter)
+    fine = grid_mean_reading(dec, obs, meter, 2 * GRID_POINTS)
     checks.append(CheckResult(f"grid-refinement {hardy.name}",
                               abs(fine - coarse), REFINEMENT_TOL))
     return checks

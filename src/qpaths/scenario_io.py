@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScenarioParseError
-from .statespace import DiagonalObservable, KetState, StateSpace, overlapping_pairs
+from .statespace import (DiagonalObservable, KetState, StateSpace, overlapping_pairs,
+                         vector_norm)
 from .scenarios import RESERVED_NAMES, Scenario
 
 QUERY_ARGS: dict[str, tuple[str, ...]] = {
@@ -416,7 +417,7 @@ def validate(doc: ScenarioDocument) -> Scenario:
 
     def build_state(name: str, vec: tuple[complex, ...]) -> KetState:
         arr = np.asarray(vec, dtype=complex)
-        nrm = float(np.linalg.norm(arr))
+        nrm = vector_norm(arr)
         line, col = doc.positions.get(("state", name), (1, 1))
         if nrm <= 1e-12:
             raise ScenarioParseError(f"state {name!r} has zero norm", line, col)

@@ -206,15 +206,15 @@ def built_in(name: str, *, beta: float = 0.5, epsilon: float = 0.5) -> Scenario:
     raise UnknownNameError("scenario", name, tuple(sorted(RESERVED_NAMES)))
 
 
-def built_in_library(beta: float = 0.5, epsilon: float = 0.5) -> tuple[Scenario, ...]:
-    """All built-in scenarios: three-box, hardy, hardy-epsilon, in that order."""
-    return (three_box(beta), hardy(), hardy_epsilon(epsilon))
+def built_in_library() -> tuple[Scenario, ...]:
+    """All built-in scenarios at default parameters: three-box, hardy, hardy-epsilon."""
+    return (three_box(), hardy(), hardy_epsilon())
 
 
 def epsilon_grid(start: float, stop: float, steps: int) -> tuple[float, ...]:
     """Logarithmically spaced epsilon values, endpoints included."""
-    if not (start > 0.0 and stop > 0.0):
-        raise ValueError("epsilon endpoints must be positive")
+    if not (0.0 < start < np.inf and 0.0 < stop < np.inf):
+        raise ValueError("epsilon endpoints must be positive and finite")
     if steps < 1:
         raise ValueError("need at least one step")
     if steps == 1:

@@ -8,6 +8,7 @@ All three types are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -16,6 +17,23 @@ import numpy as np
 from .errors import DimensionMismatch, ZeroStateError
 
 ATOL = 1e-12
+
+
+def vector_norm(values: np.ndarray) -> float:
+    """Euclidean norm, with no overflow or underflow on the way.
+
+    The vector is first divided by the power of two at its largest real
+    or imaginary part.  That division is exact, so wherever
+    np.linalg.norm stays in the float range both agree to the bit.  The
+    result is inf only when the norm itself exceeds the largest float.
+    """
+    largest = float(max(np.max(np.abs(values.real), initial=0.0),
+                        np.max(np.abs(values.imag), initial=0.0)))
+    if not 0.0 < largest < np.inf:
+        return largest
+    # a subnormal scale would overflow inside complex division; 2**-1022 is exact too
+    scale = math.ldexp(1.0, max(math.frexp(largest)[1] - 1, -1022))
+    return scale * float(np.linalg.norm(values / scale))
 
 
 class BasisLabel(NamedTuple):
@@ -61,8 +79,8 @@ class StateSpace:
         return KetState(self, amps, normalize=False)
 
     @staticmethod
-    def of_dimension(n: int, prefix: str = "n") -> StateSpace:
-        return StateSpace(tuple(f"{prefix}{k}" for k in range(n)))
+    def of_dimension(n: int) -> StateSpace:
+        return StateSpace(tuple(f"n{k}" for k in range(n)))
 
 
 def _frozen_array(values: Iterable[complex], dtype) -> np.ndarray:
@@ -90,9 +108,12 @@ class KetState:
             raise DimensionMismatch(
                 f"state has {arr.size} amplitudes, space has dimension {space.dimension}")
         if normalize:
-            nrm = float(np.linalg.norm(arr))
+            nrm = vector_norm(arr)
             if nrm <= ATOL:
                 raise ZeroStateError("cannot normalize a zero state")
+            if nrm == np.inf:  # finite entries whose norm is past the float range
+                arr = arr * 2.0 ** -512
+                nrm = vector_norm(arr)
             if abs(nrm - 1.0) > ATOL:
                 arr = _frozen_array(arr / nrm, complex)
         object.__setattr__(self, "space", space)
@@ -104,7 +125,7 @@ class KetState:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return vector_norm(self.amplitudes)
 
     def amplitude(self, which: int | str) -> complex:
         k = which if isinstance(which, int) else self.space.index(which)
@@ -114,9 +135,9 @@ class KetState:
         """This state multiplied by a constant, left unnormalized."""
         return KetState(self.space, self.amplitudes * factor, normalize=False)
 
-    def isclose(self, other: KetState, atol: float = ATOL) -> bool:
+    def isclose(self, other: KetState) -> bool:
         return (self.space == other.space
-                and bool(np.allclose(self.amplitudes, other.amplitudes, atol=atol, rtol=0.0)))
+                and bool(np.allclose(self.amplitudes, other.amplitudes, atol=ATOL, rtol=0.0)))
 
     def __repr__(self) -> str:
         amps = ", ".join(f"{a:.6g}" for a in self.amplitudes)

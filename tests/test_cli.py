@@ -126,6 +126,34 @@ def test_mean_reading_query_at_float_limits(tmp_path, capsys, width, expected):
     assert out.splitlines()[-1].split(",")[-1] == expected
 
 
+@pytest.mark.filterwarnings("error")
+def test_large_finite_state_is_the_same_ray(tmp_path, capsys):
+    outputs = []
+    for final in ("1e200 -3e200", "1 -3"):
+        target = tmp_path / "scale.scn"
+        target.write_text("dimension = 2\nbasis = a b\nstate i = 1 1\n"
+                          f"state f = {final}\nobservable A = 1 0\n"
+                          "query amplitudes\nquery probabilities\n"
+                          "query network final=f obs=A\nquery weak final=f obs=A\n",
+                          encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(target), "--format", "csv")
+        assert code == 0
+        assert "declared norm inf" not in err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[-1].split(",")[-1] == "-0.5"
+
+
+@pytest.mark.filterwarnings("error")
+def test_weak_value_at_huge_epsilon(capsys):
+    code, out, err = run_cli(capsys, "weak", "--scenario", "hardy-epsilon",
+                             "--epsilon", "1e200", "--final", "f", "--obs", "N(1+)",
+                             "--format", "csv")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[1].split(",")[-1] == "1"  # 1 - 1/epsilon
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--format", "csv")
     assert code == 0
@@ -224,6 +252,15 @@ def test_exit_code_scan_epsilon_without_steps(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_exit_code_scan_epsilon_to_infinity(capsys):
+    code, out, err = run_cli(capsys, "scan-epsilon", "--obs", "N(1+)", "--from", "0.1",
+                             "--to", "inf", "--steps", "3")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "finite" in err
 
 
 def test_run_every_query_kind_csv_golden(capsys):

@@ -1,9 +1,8 @@
 import pytest
 
-from qpaths import (MeterModel, ReadingGrid, build_network, decompose,
-                    grid_mean_reading, hardy, mean_reading, projective_joint,
-                    reading_grid, scaled_widths, three_box,
-                    verification_checks)
+from qpaths import (MeterModel, build_network, decompose, grid_mean_reading,
+                    hardy, mean_reading, projective_joint, scaled_widths,
+                    three_box, verification_checks)
 
 
 def test_projective_joint_matches_networks_everywhere():
@@ -24,22 +23,14 @@ def test_projective_joint_exact_hardy_values():
 
 
 def test_grid_requires_enough_points():
-    with pytest.raises(ValueError):
-        ReadingGrid(-1.0, 1.0, 128)
-    with pytest.raises(ValueError):
-        ReadingGrid(1.0, -1.0, 8192)
-
-
-def test_grid_must_cover_pointer_packets():
     sc = hardy()
     dec = decompose(sc.initial, sc.final("f"))
     obs = sc.observable("N(1-|1+)")
     meter = MeterModel(2.0)
     with pytest.raises(ValueError):
-        grid_mean_reading(dec, obs, meter, ReadingGrid(-5.0, 5.0, 8192))
-    grid = reading_grid(obs, meter)
-    assert grid.lo == -16.0 and grid.hi == 17.0
-    grid_mean_reading(dec, obs, meter, grid)
+        grid_mean_reading(dec, obs, meter, 128)
+    assert grid_mean_reading(dec, obs, meter, 4096) == \
+        pytest.approx(mean_reading(dec, obs, meter), abs=1e-6)
 
 
 def test_grid_agrees_with_closed_form():

@@ -4,7 +4,7 @@ import pytest
 from qpaths import (DiagonalObservable, DimensionMismatch, KetState,
                     StateSpace, ZeroStateError, expectation, fourier_basis,
                     inner, normalize, tensor)
-from qpaths.statespace import overlapping_pairs
+from qpaths.statespace import overlapping_pairs, vector_norm
 
 
 def test_space_basics():
@@ -49,6 +49,19 @@ def test_ket_exact_unit_input_is_untouched():
     space = StateSpace(("a", "b", "c", "d"))
     ket = KetState(space, [0.5, 0.5, 0.5, 0.5])
     assert ket.amplitudes.tolist() == [0.5, 0.5, 0.5, 0.5]
+
+
+@pytest.mark.filterwarnings("error")
+def test_ket_norm_without_overflow_or_underflow():
+    space = StateSpace.of_dimension(2)
+    assert KetState(space, [1e200, -3e200]).isclose(KetState(space, [1.0, -3.0]))
+    assert KetState(space, [3e200, 4e200], normalize=False).norm == pytest.approx(5e200)
+    # entries in range, norm past the largest float
+    assert KetState(space, [1.5e308, 1.5e308]).isclose(KetState(space, [1.0, 1.0]))
+    assert vector_norm(np.array([3.0, 4.0j])) == 5.0
+    # squares of these subnormal entries underflow to zero
+    tiny = KetState(space, [3e-320, 4e-320], normalize=False)
+    assert tiny.norm == pytest.approx(5e-320, rel=1e-3)
 
 
 def test_ket_rejects_zero_and_mismatch():
