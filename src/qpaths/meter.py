@@ -16,11 +16,14 @@ symmetry of Re(A_a conj(A_b)) K_ab,
     <x> = sum_a a R_a / sum_a R_a,    R_a = sum_b Re(A_a conj(A_b)) K_ab.
 
 Since Re(A_a conj(A_b)) = Re A_a Re A_b + Im A_a Im A_b, the rows are a
-kernel-vector product, R_a = Re A_a (K Re A)_a + Im A_a (K Im A)_a.  K
-is built BLOCK_ROWS rows at a time and multiplied by the k x 2 matrix
-[Re A, Im A], so a mean reading over k classes holds O(BLOCK_ROWS k)
-floats, never a k x k array.  The pointer amplitude sums over the same
-blocks of classes.
+kernel-vector product, R_a = Re A_a (K Re A)_a + Im A_a (K Im A)_a.  The
+classes are cut into blocks of BLOCK_ROWS, and K is symmetric: K_JI is
+the transpose of K_IJ, exactly, since b - a = -(a - b) in floating
+point.  So each pair of blocks I <= J is built once and multiplied by
+the rows of [Re A, Im A] on both sides, giving the terms of R over I
+and, when J != I, those over J.  A mean reading over k classes holds
+O(BLOCK_ROWS^2) floats, never a k x k array nor a BLOCK_ROWS x k one.
+The pointer amplitude sums over the same blocks of classes.
 
 Two limits bracket the meter.  As w -> 0, K -> I: the cross terms die,
 R_a = |A_a|^2, and the mean is the eigenvalue average under the
@@ -32,6 +35,7 @@ Re[ sum_a a A_a / sum_a A_a ], the real part of the weak value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -42,8 +46,8 @@ from .measurement import path_classes
 from .pathsum import PathDecomposition
 from .statespace import DiagonalObservable
 
-# classes per block: rows of K formed at once in a mean reading, and terms
-# of the pointer sum formed at once in a reading amplitude
+# classes per block: a mean reading forms K one pair of blocks at a time,
+# and a reading amplitude forms the pointer sum one block of terms at a time
 BLOCK_ROWS = 256
 
 
@@ -95,17 +99,20 @@ def mean_reading(decomposition: PathDecomposition,
     _check_spaces(decomposition, observable)
     values, class_amplitudes, _ = path_classes(observable, decomposition.amplitudes)
     parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
-    rows = np.empty(values.size)
-    for start in range(0, values.size, BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
+    rows = np.zeros(values.size)
+    blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, values.size, BLOCK_ROWS)]
+    for block, other in combinations_with_replacement(blocks, 2):
         # (a - b)/w overflows to inf for tiny widths, and exp(-inf) makes K_ab 0
         with np.errstate(over="ignore"):
-            kernel = np.subtract.outer(values[block], values)
+            kernel = np.subtract.outer(values[block], values[other])
             kernel /= meter.width
             np.square(kernel, out=kernel)
         kernel *= -1.0 / 8.0
         np.exp(kernel, out=kernel)
-        rows[block] = ((kernel @ parts) * parts[block]).sum(axis=1)
+        rows[block] += ((kernel @ parts[other]) * parts[block]).sum(axis=1)
+        # b - a = -(a - b) exactly, so K_JI is the transpose of K_IJ
+        if other != block:
+            rows[other] += ((kernel.T @ parts[block]) * parts[other]).sum(axis=1)
     denominator = float(rows.sum())
     if not (denominator > 1e-300):
         raise MeterStatisticsUndefined(

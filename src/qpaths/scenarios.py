@@ -173,10 +173,10 @@ def hardy_epsilon(epsilon: float = 0.5) -> Scenario:
     occupation numbers grow like 1/epsilon.  For epsilon != 1 the f
     state is not orthogonal to g and h, so the finals no longer describe
     exclusive detector outcomes; per-final quantities remain well
-    defined.  Requires epsilon > 0.
+    defined.  Requires a positive finite epsilon.
     """
     if not (epsilon > 0.0 and np.isfinite(epsilon)):
-        raise ValueError("epsilon must be positive")
+        raise ValueError("epsilon must be positive and finite")
     space = _hardy_space()
     initial = KetState(space, [0.5, 0.5, 0.5, 0.0, 0.5])
     finals = _hardy_finals(space)

@@ -263,6 +263,14 @@ def test_exit_code_scan_epsilon_to_infinity(capsys):
     assert err.startswith("error: ") and "finite" in err
 
 
+def test_exit_code_infinite_epsilon(capsys):
+    code, out, err = run_cli(capsys, "weak", "--scenario", "hardy-epsilon",
+                             "--epsilon", "inf", "--final", "f", "--obs", "N(1+)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: epsilon must be positive and finite\n"
+
+
 def test_run_every_query_kind_csv_golden(capsys):
     scenario = DATA / "all_queries.scn"
     assert [q.kind for q in load_path(scenario).queries] == list(QUERY_KINDS)

@@ -8,9 +8,11 @@ from _invariants import dense_mean_reading, dense_reading_amplitude
 from qpaths import (DiagonalObservable, KetState, MeterModel,
                     MeterStatisticsUndefined, StateSpace, WeakValueUndefined,
                     build_network, conditional_reading_distribution, decompose,
-                    fourier_basis, hardy, mean_reading, reading_amplitude,
-                    scaled_widths, three_box, weak_limit_convergence, weak_value)
+                    fourier_basis, grid_mean_reading, hardy, mean_reading,
+                    reading_amplitude, scaled_widths, three_box,
+                    weak_limit_convergence, weak_value)
 from qpaths.meter import BLOCK_ROWS
+from qpaths.oracle import MEAN_READING_TOL, WIDTH_RATIOS
 
 
 def hardy_case(obs_name="N(1-|1+)", final_name="f"):
@@ -236,3 +238,27 @@ def test_class_kernel_memory_is_linear_in_distinct_classes():
             tracemalloc.stop()
     assert peaks[0] < 16_000_000
     assert peaks[1] < 8_000_000
+
+
+def test_class_kernel_memory_is_bounded_by_one_block_pair():
+    # a BLOCK_ROWS x k float array takes 4 MB at k = 2048; a 256 x 256 one 0.5 MB
+    space, dec, rng = random_transition(2048, 7)
+    obs = DiagonalObservable(space, rng.permutation(2048))
+    meter = MeterModel(obs.spread)
+    tracemalloc.start()
+    try:
+        mean_reading(dec, obs, meter)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("spectrum", ["distinct", "few"])
+def test_blocked_mean_reading_matches_grid_oracle(spectrum):
+    dec, observables = blocked_spectra()
+    obs = observables[spectrum]
+    for width in scaled_widths(obs, WIDTH_RATIOS):
+        meter = MeterModel(width)
+        assert mean_reading(dec, obs, meter) == pytest.approx(
+            grid_mean_reading(dec, obs, meter), abs=MEAN_READING_TOL)
