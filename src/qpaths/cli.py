@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import PostSelectionImpossible, QPathsError, ScenarioParseError
 from .measurement import (build_network, conditional_reading_distribution,
@@ -54,25 +54,69 @@ def _cell_text(cell) -> str:
     return str(cell)
 
 
-def _cell_json(cell):
-    if cell is None or isinstance(cell, (bool, int, str)):
-        return cell
-    if isinstance(cell, complex):
-        return {"re": float(_real_text(cell.real)), "im": float(_real_text(cell.imag))}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_real(x: float) -> str:
+    text = repr(float(_real_text(x)))
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _json_cell(cell) -> str:
+    """One row value as json.dumps(indent=2) writes it, 8 spaces deep."""
     if isinstance(cell, float):
-        return float(_real_text(cell))
-    return str(cell)
+        return _json_real(cell)
+    if isinstance(cell, complex):
+        return (f'{{\n          "re": {_json_real(cell.real)},\n'
+                f'          "im": {_json_real(cell.imag)}\n        }}')
+    if isinstance(cell, str):
+        return _json_string(cell)
+    if cell is None:
+        return "null"
+    if isinstance(cell, bool):
+        return "true" if cell else "false"
+    if isinstance(cell, int):
+        return int.__repr__(cell)
+    return _json_string(str(cell))
+
+
+def _json_table_parts(t: Table, parts: list[str]) -> None:
+    """Append the table's object, a row at a time, to parts."""
+    names = ",\n".join(f"      {_json_string(c)}" for c in t.columns)
+    columns = f"[\n{names}\n    ]" if t.columns else "[]"
+    parts.append(f'  {{\n    "title": {_json_string(t.title)},\n'
+                 f'    "columns": {columns},\n    "rows": ')
+    if not t.rows:
+        parts.append("[]\n  }")
+        return
+    # a repeated column is one key: first position, last value (as a dict)
+    last = {c: k for k, c in enumerate(t.columns)}
+    keys = [(f"        {_json_string(c)}: ", k) for c, k in last.items()]
+    parts.append("[\n")
+    for r, row in enumerate(t.rows):
+        if r:
+            parts.append(",\n")
+        if keys:
+            body = ",\n".join([key + _json_cell(row[k]) for key, k in keys])
+            parts.append(f"      {{\n{body}\n      }}")
+        else:
+            parts.append("      {}")
+    parts.append("\n    ]\n  }")
 
 
 def emit(fmt: str, tables: list[Table]) -> str:
     """Render tables deterministically in the requested format."""
     if fmt == "json":
-        payload = [{"title": t.title,
-                    "columns": list(t.columns),
-                    "rows": [{c: _cell_json(v) for c, v in zip(t.columns, row)}
-                             for row in t.rows]}
-                   for t in tables]
-        return json.dumps(payload, indent=2) + "\n"
+        # the layout of json.dumps(payload, indent=2), written directly
+        if not tables:
+            return "[]\n"
+        parts = ["[\n"]
+        for k, t in enumerate(tables):
+            if k:
+                parts.append(",\n")
+            _json_table_parts(t, parts)
+        parts.append("\n]\n")
+        return "".join(parts)
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ScenarioParseError
 from .statespace import (DiagonalObservable, KetState, StateSpace, overlapping_pairs,
-                         vector_norm)
+                         unit_scaled, vector_norm)
 from .scenarios import RESERVED_NAMES, Scenario
 
 QUERY_ARGS: dict[str, tuple[str, ...]] = {
@@ -92,33 +92,60 @@ class ScenarioDocument:
     positions: dict = field(default_factory=dict, compare=False, repr=False)
 
 
+# A token is a run of non-space characters and parenthesized groups, in
+# which whitespace does not split; a ')' with no open '(' is an ordinary
+# character, and an unclosed '(' runs to the end of the line.  The regex
+# spans one level of parentheses; a line with deeper groups is flattened
+# first.
+_TOKEN_RE = re.compile(r"(?:[^\s(]+|\([^()]*\))+(?:\(.*)?|\(.*", re.DOTALL)
+_NESTED_GROUP_RE = re.compile(r"\([^()]*\([^()]*\)")
+_PAREN_RE = re.compile(r"[()]")
+
+
+def _flatten(text: str) -> str:
+    """The text with the inside of each outermost closed group blanked out:
+    the same token spans, with no group inside another."""
+    pieces: list[str] = []
+    depth = done = 0
+    for m in _PAREN_RE.finditer(text):
+        if m.group() == "(":
+            depth += 1
+            if depth == 1:
+                opened = m.end()
+        elif depth:
+            depth -= 1
+            if depth == 0:
+                pieces += (text[done:opened], "_" * (m.start() - opened))
+                done = m.start()
+    pieces.append(text[done:])
+    return "".join(pieces)
+
+
 def _tokenize(raw: str) -> list[tuple[str, int]]:
     """Whitespace-separated tokens with 1-based start columns.
 
-    Text after '#' is a comment.  Whitespace inside parentheses does not
-    split, so '(0.5, -0.5)' stays one token.
+    Text after '#' is a comment.  Whitespace inside parentheses, nested
+    or not, does not split, so '(0.5, -0.5)' stays one token.
     """
-    cut = raw.find("#")
-    text = raw if cut < 0 else raw[:cut]
-    tokens: list[tuple[str, int]] = []
-    k, n = 0, len(text)
-    while k < n:
-        if text[k].isspace():
-            k += 1
-            continue
-        start = k
-        depth = 0
-        while k < n and (depth > 0 or not text[k].isspace()):
-            if text[k] == "(":
-                depth += 1
-            elif text[k] == ")" and depth > 0:
-                depth -= 1
-            k += 1
-        tokens.append((text[start:k], start + 1))
-    return tokens
+    text = raw.partition("#")[0]
+    shape = _flatten(text) if _NESTED_GROUP_RE.search(text) else text
+    return [(text[start:end], start + 1)
+            for start, end in map(re.Match.span, _TOKEN_RE.finditer(shape))]
+
+
+_PLAIN_DECIMAL = "0123456789.eE+-"
 
 
 def _parse_real(token: str, line: int, col: int) -> float:
+    if not token.strip(_PLAIN_DECIMAL):
+        # on these characters float() accepts exactly the grammar's decimals
+        try:
+            value = float(token)
+        except ValueError:
+            pass
+        else:
+            if math.isfinite(value):
+                return value
     if not _REAL_RE.fullmatch(token):
         raise ScenarioParseError(
             f"bad real literal {token!r} (decimals, p/q, and p/sqrt(k) are accepted)",
@@ -423,7 +450,7 @@ def validate(doc: ScenarioDocument) -> Scenario:
             raise ScenarioParseError(f"state {name!r} has zero norm", line, col)
         if abs(nrm - 1.0) > 1e-9:
             notes.append(f"state {name!r} renormalized (declared norm {nrm:.12g})")
-        return KetState(space, arr)
+        return KetState(space, unit_scaled(arr, nrm), normalize=False)
 
     initial = build_state(doc.initial_name, doc.initial)
     finals = {name: build_state(name, vec) for name, vec in doc.finals}

@@ -36,6 +36,21 @@ def vector_norm(values: np.ndarray) -> float:
     return scale * float(np.linalg.norm(values / scale))
 
 
+def unit_scaled(values: np.ndarray, norm: float) -> np.ndarray:
+    """The values divided by their vector_norm, which the caller passes in.
+
+    A norm past the float range (finite entries) is taken again after an
+    exact scaling by 2**-512.  Values within ATOL of unit length are
+    returned as they are.
+    """
+    if norm == np.inf:
+        values = values * 2.0 ** -512
+        norm = vector_norm(values)
+    if abs(norm - 1.0) > ATOL:
+        values = values / norm
+    return values
+
+
 class BasisLabel(NamedTuple):
     """One basis direction: its display name and its position."""
 
@@ -111,11 +126,7 @@ class KetState:
             nrm = vector_norm(arr)
             if nrm <= ATOL:
                 raise ZeroStateError("cannot normalize a zero state")
-            if nrm == np.inf:  # finite entries whose norm is past the float range
-                arr = arr * 2.0 ** -512
-                nrm = vector_norm(arr)
-            if abs(nrm - 1.0) > ATOL:
-                arr = _frozen_array(arr / nrm, complex)
+            arr = _frozen_array(unit_scaled(arr, nrm), complex)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "amplitudes", arr)
 

@@ -1,12 +1,16 @@
-"""Randomized-scenario invariant checks and path-level meter references shared by the suites."""
+"""Randomized-scenario invariant checks and the references (path-level meter sums,
+the json.dumps emitter, the character-loop tokenizer) shared by the suites."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
 from qpaths import (DiagonalObservable, KetState, StateSpace, build_network,
                     conditional_reading_distribution, decompose, expectation,
                     fourier_basis, weak_value)
+from qpaths.cli import _real_text
 
 TOL = 1e-10
 
@@ -128,3 +132,45 @@ def assert_all_invariants(rng: np.random.Generator) -> None:
     assert_partition(space, initial, final, first)
     assert_complete_family_identity(space, initial, first, rng)
     assert_weak_value_rules(space, initial, final, first, second, rng)
+
+
+def _reference_json_cell(cell):
+    if cell is None or isinstance(cell, (bool, int, str)):
+        return cell
+    if isinstance(cell, complex):
+        return {"re": float(_real_text(cell.real)), "im": float(_real_text(cell.imag))}
+    if isinstance(cell, float):
+        return float(_real_text(cell))
+    return str(cell)
+
+
+def reference_json_emit(tables) -> str:
+    """emit("json", tables) as json.dumps writes it: the byte-layout reference."""
+    payload = [{"title": t.title,
+                "columns": list(t.columns),
+                "rows": [{c: _reference_json_cell(v) for c, v in zip(t.columns, row)}
+                         for row in t.rows]}
+               for t in tables]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_tokenize(raw: str) -> list[tuple[str, int]]:
+    """Scenario-line tokens by a character walk that counts parenthesis depth."""
+    cut = raw.find("#")
+    text = raw if cut < 0 else raw[:cut]
+    tokens: list[tuple[str, int]] = []
+    k, n = 0, len(text)
+    while k < n:
+        if text[k].isspace():
+            k += 1
+            continue
+        start = k
+        depth = 0
+        while k < n and (depth > 0 or not text[k].isspace()):
+            if text[k] == "(":
+                depth += 1
+            elif text[k] == ")" and depth > 0:
+                depth -= 1
+            k += 1
+        tokens.append((text[start:k], start + 1))
+    return tokens

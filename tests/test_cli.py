@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from qpaths.cli import QUERY_TABLES, main
+from qpaths.cli import QUERY_TABLES, Table, emit, main
 from qpaths.scenario_io import QUERY_KINDS, load_path
 
 DATA = Path(__file__).parent / "data"
@@ -272,12 +273,29 @@ def test_exit_code_infinite_epsilon(capsys):
 
 
 def test_run_every_query_kind_csv_golden(capsys):
+    # the csv, json and table goldens pin the bytes of every format
     scenario = DATA / "all_queries.scn"
     assert [q.kind for q in load_path(scenario).queries] == list(QUERY_KINDS)
-    code, out, err = run_cli(capsys, "run", str(scenario), "--format", "csv")
-    assert code == 0
-    assert out == (DATA / "all_queries.csv").read_text(encoding="utf-8")
-    assert err == ""
+    for fmt, golden in (("csv", "all_queries.csv"), ("json", "all_queries.json"),
+                        ("table", "all_queries.txt")):
+        code, out, err = run_cli(capsys, "run", str(scenario), "--format", fmt)
+        assert code == 0
+        assert out == (DATA / golden).read_text(encoding="utf-8"), fmt
+        assert err == ""
+
+
+def test_json_emit_memory_is_bounded_by_output():
+    rows = tuple((f"b{k}", complex(k / 7.0, -k / 3.0), complex(1.0 / (k + 1), 0.0), k / 11.0)
+                 for k in range(7000))
+    table = Table(title="synthetic", columns=("path", "f", "g", "probability"), rows=rows)
+    tracemalloc.start()
+    try:
+        out = emit("json", [table])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(out)[0]["rows"][6999]["f"] == {"re": 999.857142857, "im": -2333.0}
+    assert peak < 4 * len(out)
 
 
 def test_every_query_kind_has_one_table():

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _invariants import (assert_all_invariants, dense_mean_reading,
-                         dense_reading_amplitude)
+                         dense_reading_amplitude, reference_json_emit,
+                         reference_tokenize)
 from qpaths import (DiagonalObservable, KetState, MeterModel, ScenarioDocument,
                     ScenarioParseError, StateSpace, decompose, expectation,
                     inner, mean_reading, normalize, parse, reading_amplitude,
                     serialize, tensor, weak_value)
-from qpaths.scenario_io import QUERY_KINDS, QueryDirective
+from qpaths.cli import Table, emit
+from qpaths.scenario_io import (_REAL_RE, QUERY_KINDS, QueryDirective, _parse_real,
+                                _tokenize)
 
 finite_complex = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                                     allow_infinity=False)
@@ -143,6 +146,80 @@ def test_parser_never_panics(text):
         parse(text)
     except ScenarioParseError:
         pass
+
+
+# quotes, backslashes, control, non-ASCII, astral and surrogate characters
+json_text = st.text(st.characters(blacklist_categories=())
+                    | st.sampled_from('"\\\x00\x1f\x7f\u2028é'), max_size=12)
+json_cells = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**70, 2**70), json_text,
+    st.floats(), st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.builds(complex, st.sampled_from([-0.0, float("nan"), float("-inf")]), st.floats()),
+    st.builds(np.float64, st.floats()), st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
+    st.builds(np.bool_, st.booleans()))
+
+
+@st.composite
+def json_tables(draw):
+    # a few fixed names, so that a table repeats a column now and then
+    columns = draw(st.lists(st.sampled_from(["path", "f", "re", "é"]) | json_text,
+                            max_size=4))
+    rows = draw(st.lists(st.tuples(*[json_cells] * len(columns)), max_size=4))
+    return Table(title=draw(json_text), columns=tuple(columns), rows=tuple(rows))
+
+
+@given(json_cells)
+@settings(max_examples=500)
+def test_json_cell_matches_json_dumps(cell):
+    table = Table(title="t", columns=("c",), rows=((cell,),))
+    assert emit("json", [table]) == reference_json_emit([table])
+
+
+@given(st.lists(json_tables(), max_size=4))
+@settings(max_examples=300)
+def test_json_tables_match_json_dumps(tables):
+    assert emit("json", tables) == reference_json_emit(tables)
+
+
+def test_json_layout_edge_cases():
+    empty = Table(title="empty", columns=("a", "b"), rows=())
+    bare = Table(title="bare", columns=(), rows=((), ()))
+    repeated = Table(title="repeated", columns=("x", "y", "x"), rows=((1, 2.5, 3j),))
+    for tables in ([], [empty], [bare], [empty, bare, repeated]):
+        assert emit("json", tables) == reference_json_emit(tables)
+
+
+# nested parentheses, comments, tabs and Unicode whitespace (no-break, em
+# and ideographic spaces, the file and next-line separators)
+line_text = st.lists(st.sampled_from(["(", ")", "((", "))", " ", "  ", "\t", "#", "a", "1",
+                                      ", ", "1/sqrt(2)", "(a b)", "\u00a0", "\u2003",
+                                      "\u3000", "\x1c", "\x85", "é"]),
+                     max_size=16).map("".join)
+
+
+@given(line_text | st.text(max_size=40))
+@example("state f = (1/sqrt(2), 0.5) (0, 1/sqrt(2))")
+@example("observable N((a b) c) = 1 # (")
+@example("x(a(b) c")
+@example(") ((a b) c) x")
+@settings(max_examples=1000)
+def test_tokenize_matches_character_walk(raw):
+    assert _tokenize(raw) == reference_tokenize(raw)
+
+
+@given(st.text(st.sampled_from("0123456789.eE+-"), max_size=8)
+       | st.sampled_from(["inf", "-inf", "nan", "Infinity", "1_0", " 1", "1 ", "\u0661",
+                          "1e999", "-1e999", "-0", "+.5", "5.", "1e+5"]))
+@settings(max_examples=500)
+def test_parse_real_accepts_exactly_the_grammar_decimals(token):
+    if _REAL_RE.fullmatch(token) and np.isfinite(float(token)):
+        value = _parse_real(token, 1, 1)
+        assert value == float(token)
+        assert np.signbit(value) == np.signbit(float(token))
+    else:
+        with pytest.raises(ScenarioParseError):
+            _parse_real(token, 1, 1)
 
 
 name_token = st.from_regex(r"[A-Za-z][A-Za-z0-9._-]{0,7}", fullmatch=True)

@@ -4,7 +4,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from qpaths import ScenarioParseError, hardy, load_path, parse, serialize, validate
+from qpaths import (KetState, ScenarioParseError, hardy, load_path, parse, scenario_io,
+                    serialize, statespace, validate)
 
 MINIMAL = """\
 dimension = 2
@@ -219,6 +220,29 @@ def test_validation_notes_for_renormalization_and_overlap():
     assert any("renormalized" in note for note in sc.notes)
     assert any("not orthogonal" in note for note in sc.notes)
     assert sc.initial.norm == pytest.approx(1.0, abs=1e-15)
+
+
+def test_validate_takes_each_state_norm_once(monkeypatch):
+    calls = []
+    vector_norm = statespace.vector_norm
+
+    def counting_norm(values):
+        calls.append(values.size)
+        return vector_norm(values)
+
+    monkeypatch.setattr(scenario_io, "vector_norm", counting_norm)
+    monkeypatch.setattr(statespace, "vector_norm", counting_norm)
+    text = ("dimension = 2\nbasis = a b\nstate i = 2 0\nstate f = 1 0\n"
+            "state g = 1e200 -1e200i\nquery probabilities\n")
+    sc = validate(parse(text))
+    assert calls == [2, 2, 2]
+    monkeypatch.undo()
+    assert sc.notes == ("state 'i' renormalized (declared norm 2)",
+                        "state 'g' renormalized (declared norm 1.41421356237e+200)",
+                        "final states 'f' and 'g' are not orthogonal (|overlap| = 0.707107)")
+    for state, declared in ((sc.initial, [2, 0]), (sc.finals["f"], [1, 0]),
+                            (sc.finals["g"], [1e200, -1e200j])):
+        assert np.array_equal(state.amplitudes, KetState(sc.space, declared).amplitudes)
 
 
 def test_default_scenario_name():
