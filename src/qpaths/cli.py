@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
+from typing import TextIO
 
 from .errors import PostSelectionImpossible, QPathsError, ScenarioParseError
 from .measurement import (build_network, conditional_reading_distribution,
@@ -80,68 +81,71 @@ def _json_cell(cell) -> str:
     return _json_string(str(cell))
 
 
-def _json_table_parts(t: Table, parts: list[str]) -> None:
-    """Append the table's object, a row at a time, to parts."""
+def _write_json_table(t: Table, out: TextIO) -> None:
+    """Write the table's object to out, a row at a time."""
     names = ",\n".join(f"      {_json_string(c)}" for c in t.columns)
     columns = f"[\n{names}\n    ]" if t.columns else "[]"
-    parts.append(f'  {{\n    "title": {_json_string(t.title)},\n'
-                 f'    "columns": {columns},\n    "rows": ')
+    out.write(f'  {{\n    "title": {_json_string(t.title)},\n'
+              f'    "columns": {columns},\n    "rows": ')
     if not t.rows:
-        parts.append("[]\n  }")
+        out.write("[]\n  }")
         return
     # a repeated column is one key: first position, last value (as a dict)
     last = {c: k for k, c in enumerate(t.columns)}
     keys = [(f"        {_json_string(c)}: ", k) for c, k in last.items()]
-    parts.append("[\n")
-    for r, row in enumerate(t.rows):
-        if r:
-            parts.append(",\n")
+    separator = "[\n"
+    for row in t.rows:
         if keys:
             body = ",\n".join([key + _json_cell(row[k]) for key, k in keys])
-            parts.append(f"      {{\n{body}\n      }}")
+            out.write(f"{separator}      {{\n{body}\n      }}")
         else:
-            parts.append("      {}")
-    parts.append("\n    ]\n  }")
+            out.write(f"{separator}      {{}}")
+        separator = ",\n"
+    out.write("\n    ]\n  }")
 
 
-def emit(fmt: str, tables: list[Table]) -> str:
-    """Render tables deterministically in the requested format."""
+def _write_table_lines(t: Table, out: TextIO) -> None:
+    """Write the table as aligned text: one pass for the column widths, one to write."""
+    widths = [len(c) for c in t.columns]
+    for row in t.rows:
+        widths = list(map(max, widths, map(len, map(_cell_text, row))))
+
+    def line(texts) -> str:
+        return "  ".join(text.ljust(w) for text, w in zip(texts, widths)).rstrip() + "\n"
+
+    out.write(f"{t.title}\n{line(t.columns)}{'  '.join('-' * w for w in widths)}\n")
+    for row in t.rows:
+        out.write(line(map(_cell_text, row)))
+
+
+def emit(fmt: str, tables: list[Table], out: TextIO) -> None:
+    """Write tables deterministically to out in the requested format."""
     if fmt == "json":
         # the layout of json.dumps(payload, indent=2), written directly
         if not tables:
-            return "[]\n"
-        parts = ["[\n"]
+            out.write("[]\n")
+            return
         for k, t in enumerate(tables):
-            if k:
-                parts.append(",\n")
-            _json_table_parts(t, parts)
-        parts.append("\n]\n")
-        return "".join(parts)
+            out.write(",\n" if k else "[\n")
+            _write_json_table(t, out)
+        out.write("\n]\n")
+        return
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         for k, t in enumerate(tables):
             if len(tables) > 1:
-                if k:
-                    buffer.write("\n")
-                buffer.write(f"# {t.title}\n")
+                out.write(f"\n# {t.title}\n" if k else f"# {t.title}\n")
             writer.writerow(t.columns)
             for row in t.rows:
                 writer.writerow([_cell_text(v) for v in row])
-        return buffer.getvalue()
-    # aligned human-readable text
-    out: list[str] = []
+        return
+    # aligned human-readable text; a run with no tables prints one empty line
+    if not tables:
+        out.write("\n")
     for k, t in enumerate(tables):
         if k:
-            out.append("")
-        out.append(t.title)
-        grid = [list(t.columns)] + [[_cell_text(v) for v in row] for row in t.rows]
-        widths = [max(len(r[c]) for r in grid) for c in range(len(t.columns))]
-        for r, cells in enumerate(grid):
-            out.append("  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip())
-            if r == 0:
-                out.append("  ".join("-" * w for w in widths))
-    return "\n".join(out) + "\n"
+            out.write("\n")
+        _write_table_lines(t, out)
 
 
 def amplitudes_table(scenario: Scenario) -> Table:
@@ -452,7 +456,20 @@ def main(argv=None) -> int:
         prefix = f"{args.file}: " if isinstance(exc, ScenarioParseError) else ""
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
-    sys.stdout.write(emit(args.format, tables))
+    # every query has run, so a failed run has already returned with stdout empty
+    try:
+        emit(args.format, tables, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`| head`): send the unflushed rest to the null
+        # device, so that the flush at interpreter exit does not fail again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # no file descriptor, or closed
+            return code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
     return code
 
 

@@ -63,9 +63,15 @@ class MeterModel:
 
     def pointer_amplitude(self, x):
         """Initial pointer wave amplitude at x; unit square-integral norm."""
+        pointer = np.empty(np.shape(x))
+        # (x/w)^2 overflows to inf for tiny widths, and exp(-inf) makes G 0
         with np.errstate(over="ignore"):
-            gauss = np.exp(-(np.asarray(x) / self.width) ** 2 / 4.0)
-        return (2.0 * np.pi) ** -0.25 * self.width ** -0.5 * gauss
+            np.divide(x, self.width, out=pointer)
+            np.square(pointer, out=pointer)
+        pointer *= -0.25
+        np.exp(pointer, out=pointer)
+        pointer *= (2.0 * np.pi) ** -0.25 * self.width ** -0.5
+        return pointer if pointer.ndim else pointer[()]
 
 
 def _check_spaces(decomposition: PathDecomposition,
@@ -83,12 +89,14 @@ def reading_amplitude(decomposition: PathDecomposition,
     """
     _check_spaces(decomposition, observable)
     values, class_amplitudes, _ = path_classes(observable, decomposition.amplitudes)
+    parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
     x = np.asarray(x, dtype=float)
-    result = np.zeros(x.shape, dtype=complex)
+    # the pointer is real, so the sum is a real product with [Re A, Im A]
+    sums = np.zeros(x.shape + (2,))
     for start in range(0, values.size, BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)
-        result += meter.pointer_amplitude(x[..., np.newaxis] - values[block]) \
-            @ class_amplitudes[block]
+        sums += meter.pointer_amplitude(x[..., np.newaxis] - values[block]) @ parts[block]
+    result = sums.view(complex)[..., 0]
     return complex(result) if result.ndim == 0 else result
 
 

@@ -3,6 +3,7 @@ the json.dumps emitter, the character-loop tokenizer) shared by the suites."""
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from qpaths import (DiagonalObservable, KetState, StateSpace, build_network,
                     conditional_reading_distribution, decompose, expectation,
                     fourier_basis, weak_value)
-from qpaths.cli import _real_text
+from qpaths.cli import _real_text, emit
 
 TOL = 1e-10
 
@@ -142,6 +143,13 @@ def _reference_json_cell(cell):
     if isinstance(cell, float):
         return float(_real_text(cell))
     return str(cell)
+
+
+def emitted(fmt: str, tables) -> str:
+    """The text emit(fmt, tables, out) writes to out."""
+    out = io.StringIO()
+    emit(fmt, tables, out)
+    return out.getvalue()
 
 
 def reference_json_emit(tables) -> str:

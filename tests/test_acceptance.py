@@ -10,14 +10,14 @@ import random
 import numpy as np
 import pytest
 
-from _invariants import assert_all_invariants
+from _invariants import assert_all_invariants, emitted
 from qpaths import (MeterModel, PostSelectionImpossible, ScenarioParseError,
                     amplitude_table, build_network, built_in, built_in_library,
                     conditional_reading_distribution, decompose,
                     grid_mean_reading, mean_reading, parse, product_rule_report,
                     projective_joint, scaled_widths, sum_rule_report,
                     transition_probability, validate, weak_value)
-from qpaths.cli import amplitudes_table, emit, main, network_table
+from qpaths.cli import amplitudes_table, main, network_table
 from qpaths.measurement import certain_reading
 
 HARDY = built_in("hardy")
@@ -206,7 +206,7 @@ def test_criterion_10_scenario_file_fidelity(tmp_path):
     for ours, theirs in pairs:
         assert ours.columns == theirs.columns
         assert ours.rows == theirs.rows
-        assert emit("csv", [ours]).encode() == emit("csv", [theirs]).encode()
+        assert emitted("csv", [ours]).encode() == emitted("csv", [theirs]).encode()
 
     bad = tmp_path / "bad.scn"
     bad.write_text("dimension = 2\nbasis = a b\nstate i = 1 zz\n")

@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import qpaths
+from _invariants import emitted
 from qpaths.cli import QUERY_TABLES, Table, emit, main
 from qpaths.scenario_io import QUERY_KINDS, load_path
 
@@ -284,18 +289,74 @@ def test_run_every_query_kind_csv_golden(capsys):
         assert err == ""
 
 
+class _Sink:
+    """A text stream that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text: str) -> int:
+        self.length += len(text)
+        return len(text)
+
+
 def test_json_emit_memory_is_bounded_by_output():
-    rows = tuple((f"b{k}", complex(k / 7.0, -k / 3.0), complex(1.0 / (k + 1), 0.0), k / 11.0)
-                 for k in range(7000))
-    table = Table(title="synthetic", columns=("path", "f", "g", "probability"), rows=rows)
-    tracemalloc.start()
-    try:
-        out = emit("json", [table])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert json.loads(out)[0]["rows"][6999]["f"] == {"re": 999.857142857, "im": -2333.0}
-    assert peak < 4 * len(out)
+    # every format: emit holds no output text, only the row being written
+    tables = [Table(title=f"synthetic {t}", columns=("path", "f", "g", "probability"),
+                    rows=tuple((f"b{k}", complex(k / 7.0, -k / 3.0),
+                                complex(1.0 / (k + 1), t), k / 11.0) for k in range(2000)))
+              for t in range(4)]
+    assert json.loads(emitted("json", tables))[3]["rows"][1999]["f"] == {
+        "re": 285.571428571, "im": -666.333333333}
+    for fmt in ("json", "csv", "table"):
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            emit(fmt, tables, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.length == len(emitted(fmt, tables)), fmt
+        assert peak < sink.length / 2, fmt
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_failing_query_after_a_good_one_prints_nothing(tmp_path, capsys, fmt):
+    # every query runs before the first byte is written
+    target = tmp_path / "late.scn"
+    target.write_text("dimension = 2\nbasis = a b\nstate i = 1 0\nstate f = 0 1\n"
+                      "observable A = 1 0\nquery amplitudes\nquery weak final=f obs=A\n",
+                      encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(target), "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "amplitude is zero" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_closed_pipe_ends_the_run_quietly(tmp_path, fmt):
+    # 1 to 9 MB, by format: forty amplitude tables of 300 paths and 10 finals
+    n = 300
+    lines = [f"dimension = {n}", "basis = " + " ".join(f"p{k}" for k in range(n)),
+             "state i = " + " ".join([f"1/sqrt({n})"] * n)]
+    for j in range(10):
+        lines.append(f"state f{j} = " + " ".join("1" if k == j else "0" for k in range(n)))
+    lines += ["query amplitudes"] * 40
+    target = tmp_path / "big.scn"
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    src = str(Path(qpaths.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "qpaths", "run", str(target),
+                             "--format", fmt],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert len(head) == 10
+    assert err == ""
 
 
 def test_every_query_kind_has_one_table():

@@ -4,13 +4,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _invariants import (assert_all_invariants, dense_mean_reading,
-                         dense_reading_amplitude, reference_json_emit,
+                         dense_reading_amplitude, emitted, reference_json_emit,
                          reference_tokenize)
 from qpaths import (DiagonalObservable, KetState, MeterModel, ScenarioDocument,
                     ScenarioParseError, StateSpace, decompose, expectation,
                     inner, mean_reading, normalize, parse, reading_amplitude,
                     serialize, tensor, weak_value)
-from qpaths.cli import Table, emit
+from qpaths.cli import Table
 from qpaths.scenario_io import (_REAL_RE, QUERY_KINDS, QueryDirective, _parse_real,
                                 _tokenize)
 
@@ -173,13 +173,13 @@ def json_tables(draw):
 @settings(max_examples=500)
 def test_json_cell_matches_json_dumps(cell):
     table = Table(title="t", columns=("c",), rows=((cell,),))
-    assert emit("json", [table]) == reference_json_emit([table])
+    assert emitted("json", [table]) == reference_json_emit([table])
 
 
 @given(st.lists(json_tables(), max_size=4))
 @settings(max_examples=300)
 def test_json_tables_match_json_dumps(tables):
-    assert emit("json", tables) == reference_json_emit(tables)
+    assert emitted("json", tables) == reference_json_emit(tables)
 
 
 def test_json_layout_edge_cases():
@@ -187,7 +187,7 @@ def test_json_layout_edge_cases():
     bare = Table(title="bare", columns=(), rows=((), ()))
     repeated = Table(title="repeated", columns=("x", "y", "x"), rows=((1, 2.5, 3j),))
     for tables in ([], [empty], [bare], [empty, bare, repeated]):
-        assert emit("json", tables) == reference_json_emit(tables)
+        assert emitted("json", tables) == reference_json_emit(tables)
 
 
 # nested parentheses, comments, tabs and Unicode whitespace (no-break, em
