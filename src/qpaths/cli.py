@@ -440,9 +440,13 @@ def _cmd_verify(args):
 def _cmd_run(args):
     doc = load_path(args.file)
     scenario = validate(doc)
+    queries = doc.queries
+    # the scenario holds its own arrays; the document's literals would only
+    # stay alive through the query loop
+    del doc
     for note in scenario.notes:
         print(f"note: {args.file}: {note}", file=sys.stderr)
-    tables = [execute_query(scenario, q) for q in doc.queries]
+    tables = [execute_query(scenario, q) for q in queries]
     return tables, 0
 
 

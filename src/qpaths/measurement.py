@@ -72,23 +72,18 @@ class PathwayNetwork:
         return float(abs(self.decomposition.total_amplitude) ** 2)
 
 
-def path_classes(observable: DiagonalObservable, amplitudes: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group path amplitudes by the observable's eigenvalues.
+def path_classes(observable: DiagonalObservable, amplitudes: np.ndarray) -> np.ndarray:
+    """Coherent sum A_a of the path amplitudes in each eigenvalue class.
 
-    Returns (values, class_amplitudes, inverse): the distinct eigenvalues
-    largest first, the coherent sum A_a of the amplitudes in each class,
-    and the class index of every path.  Grouping uses the declared
-    eigenvalues exactly, with no floating tolerance; 0.0 and -0.0 form
-    one class, reported as 0.0.
+    The observable holds its classes (DiagonalObservable.classes: the
+    distinct eigenvalues largest first, grouped exactly, with 0.0 and
+    -0.0 one class); a call only sums the amplitudes into them, in the
+    order of observable.classes.values.
     """
-    ascending, inverse = np.unique(observable.eigenvalues, return_inverse=True)
-    k = ascending.size
-    values = ascending[::-1] + 0.0  # adding 0.0 turns a -0.0 representative into 0.0
-    inverse = (k - 1) - inverse
-    class_amplitudes = (np.bincount(inverse, weights=amplitudes.real, minlength=k)
-                        + 1j * np.bincount(inverse, weights=amplitudes.imag, minlength=k))
-    return values, class_amplitudes, inverse
+    index = observable.classes.index
+    k = observable.classes.values.size
+    return (np.bincount(index, weights=amplitudes.real, minlength=k)
+            + 1j * np.bincount(index, weights=amplitudes.imag, minlength=k))
 
 
 def build_network(initial: KetState, final: KetState,
@@ -96,14 +91,14 @@ def build_network(initial: KetState, final: KetState,
     """Group the transition's paths by the observable's eigenvalues.
 
     Classes are ordered by eigenvalue, largest first; members keep path
-    order.  See path_classes for the grouping rule.
+    order, taken from the observable's classes (DiagonalObservable.classes).
     """
     dec = decompose(initial, final)
     if observable.space != dec.space:
         raise DimensionMismatch("observable lives over a different space than the states")
-    values, class_amplitudes, inverse = path_classes(observable, dec.amplitudes)
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.cumsum(np.bincount(inverse, minlength=values.size))[:-1]
+    values, index, order = observable.classes
+    class_amplitudes = path_classes(observable, dec.amplitudes)
+    bounds = np.cumsum(np.bincount(index, minlength=values.size))[:-1]
     classes = tuple(PathwayClass(float(ev), tuple(members.tolist()), complex(amp))
                     for ev, members, amp in zip(values, np.split(order, bounds),
                                                 class_amplitudes))

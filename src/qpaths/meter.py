@@ -7,7 +7,10 @@ shift it alike, so post-selecting the system leaves the pointer in
 
     Psi(x) = sum_a G(x - a) A_a,    A_a = sum_{n: F(n) = a} amp(n),
 
-a sum over pathway classes (measurement.path_classes).  Overlaps of
+a sum over pathway classes.  The observable holds its classes
+(DiagonalObservable.classes), computed once on first use; each call
+here only sums the path amplitudes into them (measurement.path_classes)
+before working on k classes instead of n paths.  Overlaps of
 shifted pointer states give the reading statistics in closed form:
 int G(x-a) G(x-b) dx = K_ab = exp(-((a-b)/w)^2 / 8), and the same
 integral weighted by x carries the extra factor (a+b)/2.  By the
@@ -88,7 +91,8 @@ def reading_amplitude(decomposition: PathDecomposition,
     Accepts a scalar or an array of pointer positions.
     """
     _check_spaces(decomposition, observable)
-    values, class_amplitudes, _ = path_classes(observable, decomposition.amplitudes)
+    values = observable.classes.values
+    class_amplitudes = path_classes(observable, decomposition.amplitudes)
     parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
     x = np.asarray(x, dtype=float)
     # the pointer is real, so the sum is a real product with [Re A, Im A]
@@ -105,7 +109,8 @@ def mean_reading(decomposition: PathDecomposition,
                  meter: MeterModel) -> float:
     """Mean pointer reading, in closed form via the class overlap kernel."""
     _check_spaces(decomposition, observable)
-    values, class_amplitudes, _ = path_classes(observable, decomposition.amplitudes)
+    values = observable.classes.values
+    class_amplitudes = path_classes(observable, decomposition.amplitudes)
     parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
     rows = np.zeros(values.size)
     blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, values.size, BLOCK_ROWS)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -49,6 +50,21 @@ def unit_scaled(values: np.ndarray, norm: float) -> np.ndarray:
     if abs(norm - 1.0) > ATOL:
         values = values / norm
     return values
+
+
+class EigenvalueClasses(NamedTuple):
+    """How an observable's eigenvalues partition the paths, one class each.
+
+    values: the distinct eigenvalues, largest first, with -0.0 and 0.0
+    one class reported as 0.0.  index: the class of every path.  order:
+    the paths sorted by class, in path order within a class.  The
+    grouping is exact, with no floating tolerance.  All three arrays are
+    read-only.
+    """
+
+    values: np.ndarray
+    index: np.ndarray
+    order: np.ndarray
 
 
 class BasisLabel(NamedTuple):
@@ -190,7 +206,11 @@ def tensor(a: KetState, b: KetState) -> KetState:
 
 @dataclass(frozen=True, eq=False)
 class DiagonalObservable:
-    """Real diagonal operator F over a StateSpace: F|n> = F(n)|n>."""
+    """Real diagonal operator F over a StateSpace: F|n> = F(n)|n>.
+
+    The eigenvalue classes are computed on first use and kept with the
+    observable, so every measurement of it shares one grouping.
+    """
 
     space: StateSpace
     eigenvalues: np.ndarray
@@ -209,10 +229,21 @@ class DiagonalObservable:
     def identity(space: StateSpace) -> DiagonalObservable:
         return DiagonalObservable(space, np.ones(space.dimension))
 
+    @cached_property
+    def classes(self) -> EigenvalueClasses:
+        """The paths grouped by eigenvalue; see EigenvalueClasses."""
+        ascending, inverse = np.unique(self.eigenvalues, return_inverse=True)
+        values = ascending[::-1] + 0.0  # adding 0.0 turns a -0.0 representative into 0.0
+        index = (ascending.size - 1) - inverse
+        order = np.argsort(index, kind="stable")
+        for arr in (values, index, order):
+            arr.setflags(write=False)
+        return EigenvalueClasses(values, index, order)
+
     @property
     def distinct_eigenvalues(self) -> tuple[float, ...]:
-        """Distinct eigenvalues, largest first."""
-        return tuple(float(v) for v in sorted(set(self.eigenvalues.tolist()), reverse=True))
+        """Distinct eigenvalues, largest first (the class values)."""
+        return tuple(self.classes.values.tolist())
 
     @property
     def is_projector(self) -> bool:
