@@ -81,12 +81,6 @@ def test_cached_classes_reject_writes():
     assert_same_classes(obs.classes, fresh_classes(obs))
 
 
-def test_distinct_eigenvalues_are_the_class_values():
-    obs = DiagonalObservable(StateSpace.of_dimension(4), [0.0, -0.0, 3.0, 0.0])
-    assert obs.distinct_eigenvalues == (3.0, 0.0)
-    assert obs.distinct_eigenvalues == tuple(obs.classes.values.tolist())
-
-
 def test_derived_observables_get_their_own_classes():
     space = StateSpace.of_dimension(4)
     first = DiagonalObservable(space, [1.0, 0.0, 0.0, 1.0])
