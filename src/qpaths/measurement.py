@@ -97,11 +97,12 @@ def build_network(initial: KetState, final: KetState,
     if observable.space != dec.space:
         raise DimensionMismatch("observable lives over a different space than the states")
     values, index, order = observable.classes
-    class_amplitudes = path_classes(observable, dec.amplitudes)
-    bounds = np.cumsum(np.bincount(index, minlength=values.size))[:-1]
-    classes = tuple(PathwayClass(float(ev), tuple(members.tolist()), complex(amp))
-                    for ev, members, amp in zip(values, np.split(order, bounds),
-                                                class_amplitudes))
+    class_amplitudes = path_classes(observable, dec.amplitudes).tolist()
+    members = order.tolist()
+    ends = np.cumsum(np.bincount(index, minlength=values.size)).tolist()
+    classes = tuple(PathwayClass(ev, tuple(members[start:end]), amp)
+                    for ev, start, end, amp in zip(values.tolist(), [0] + ends, ends,
+                                                   class_amplitudes))
     return PathwayNetwork(dec, observable, classes)
 
 

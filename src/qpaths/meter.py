@@ -19,13 +19,39 @@ symmetry of Re(A_a conj(A_b)) K_ab,
     <x> = sum_a a R_a / sum_a R_a,    R_a = sum_b Re(A_a conj(A_b)) K_ab.
 
 Since Re(A_a conj(A_b)) = Re A_a Re A_b + Im A_a Im A_b, the rows are a
-kernel-vector product, R_a = Re A_a (K Re A)_a + Im A_a (K Im A)_a.  The
-classes are cut into blocks of BLOCK_ROWS, and K is symmetric: K_JI is
-the transpose of K_IJ, exactly, since b - a = -(a - b) in floating
-point.  So each pair of blocks I <= J is built once and multiplied by
-the rows of [Re A, Im A] on both sides, giving the terms of R over I
-and, when J != I, those over J.  A mean reading over k classes holds
-O(BLOCK_ROWS^2) floats, never a k x k array nor a BLOCK_ROWS x k one.
+kernel-vector product, R_a = Re A_a (K Re A)_a + Im A_a (K Im A)_a, with
+P = [Re A, Im A].  Two kernels compute it, picked from the width and the
+spectrum's spread s = max a - min a alone:
+
+Wide meters, w >= s, with more classes than one block (k > BLOCK_ROWS).
+About the spectrum's midpoint c = min a + s/2 put u_a = ((a - c)/w)/sqrt(8),
+so that K_ab = exp(-(u_a - u_b)^2) = exp(-u_a^2) exp(-u_b^2) exp(2 u_a u_b).
+Expanding the last factor in its Taylor series splits it over a and b,
+
+    K_ab = sum_m U_am U_bm,    U_am = exp(-u_a^2) u_a^m sqrt(2^m / m!),
+
+the truncated factorization behind the improved fast Gauss transform
+(Greengard & Strain 1991; Yang, Duraiswami, Gumerov & Davis 2003).
+Keeping m < p gives R_a = P_a . (U (U^T P))_a in O(k p) time and memory, a
+k x p array instead of k^2/2 exponentials.  Since |a - c| <= s/2 <= w/2, every
+|u_a| <= 1/(2 sqrt(8)) and |x| = |2 u_a u_b| <= 1/16.  The Lagrange form of
+the dropped tail of exp(x) is e^xi x^p/p! with xi between 0 and x, and
+xi - x <= |x|, so relative to exp(x), and so to every kernel entry K_ab,
+it is at most (1/16)^p/p! e^(1/16).  WIDE_RANK = 10 is the smallest p that
+keeps this under 2^-60, far below the rounding error of the dense sum it
+replaces.  Every |U_am| <= 1, so no width overflows it.
+
+Narrow meters, w < s, and any meter over k <= BLOCK_ROWS classes: the
+dense blocked kernel.  The classes are cut into blocks of BLOCK_ROWS,
+and K is symmetric: K_JI is the transpose of K_IJ, exactly, since
+b - a = -(a - b) in floating point.  So each pair of blocks I <= J is
+built once and multiplied by the rows of P on both sides, giving the
+terms of R over I and, when J != I, those over J.  A mean reading over
+k classes holds O(BLOCK_ROWS^2) floats, never a k x k array nor a
+BLOCK_ROWS x k one.
+Within one block the dense kernel is already cheap, and for a narrow
+meter |2 u_a u_b| reaches s^2/(16 w^2) > 1/16, so the series would need
+more terms the narrower the meter.
 The pointer amplitude sums over the same blocks of classes.
 
 Two limits bracket the meter.  As w -> 0, K -> I: the cross terms die,
@@ -52,6 +78,11 @@ from .statespace import DiagonalObservable
 # classes per block: a mean reading forms K one pair of blocks at a time,
 # and a reading amplitude forms the pointer sum one block of terms at a time
 BLOCK_ROWS = 256
+
+# Taylor terms kept in the wide-meter kernel: the smallest p with
+# (1/16)^p/p! e^(1/16) < 2^-60 (see the module docstring)
+WIDE_RANK = 10
+_TAYLOR_STEPS = np.sqrt(2.0 / np.arange(1, WIDE_RANK))[:, np.newaxis]
 
 
 @dataclass(frozen=True)
@@ -104,6 +135,38 @@ def reading_amplitude(decomposition: PathDecomposition,
     return complex(result) if result.ndim == 0 else result
 
 
+def _blocked_rows(values: np.ndarray, parts: np.ndarray, width: float) -> np.ndarray:
+    """R_a = P_a . (K P)_a from the dense kernel, one pair of class blocks at a time."""
+    rows = np.zeros(values.size)
+    blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, values.size, BLOCK_ROWS)]
+    for block, other in combinations_with_replacement(blocks, 2):
+        # (a - b)/w overflows to inf for tiny widths, and exp(-inf) makes K_ab 0
+        with np.errstate(over="ignore"):
+            kernel = np.subtract.outer(values[block], values[other])
+            kernel /= width
+            np.square(kernel, out=kernel)
+        kernel *= -1.0 / 8.0
+        np.exp(kernel, out=kernel)
+        rows[block] += ((kernel @ parts[other]) * parts[block]).sum(axis=1)
+        # b - a = -(a - b) exactly, so K_JI is the transpose of K_IJ
+        if other != block:
+            rows[other] += ((kernel.T @ parts[block]) * parts[other]).sum(axis=1)
+    return rows
+
+
+def _wide_rows(values: np.ndarray, parts: np.ndarray, width: float,
+               spread: float) -> np.ndarray:
+    """R_a = P_a . (U (U^T P))_a from the rank-WIDE_RANK factorization of K; w >= spread."""
+    u = (values - (values[-1] + 0.5 * spread)) / width / np.sqrt(8.0)
+    # row m is column m of U: exp(-u^2) times the steps u sqrt(2/j) for j = 1..m
+    factors = np.empty((WIDE_RANK, u.size))
+    np.exp(-np.square(u), out=factors[0])
+    np.multiply(_TAYLOR_STEPS, u, out=factors[1:])
+    for m in range(1, WIDE_RANK):
+        factors[m] *= factors[m - 1]
+    return np.einsum("ij,ij->i", factors.T @ (factors @ parts), parts)
+
+
 def mean_reading(decomposition: PathDecomposition,
                  observable: DiagonalObservable,
                  meter: MeterModel) -> float:
@@ -112,20 +175,11 @@ def mean_reading(decomposition: PathDecomposition,
     values = observable.classes.values
     class_amplitudes = path_classes(observable, decomposition.amplitudes)
     parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
-    rows = np.zeros(values.size)
-    blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, values.size, BLOCK_ROWS)]
-    for block, other in combinations_with_replacement(blocks, 2):
-        # (a - b)/w overflows to inf for tiny widths, and exp(-inf) makes K_ab 0
-        with np.errstate(over="ignore"):
-            kernel = np.subtract.outer(values[block], values[other])
-            kernel /= meter.width
-            np.square(kernel, out=kernel)
-        kernel *= -1.0 / 8.0
-        np.exp(kernel, out=kernel)
-        rows[block] += ((kernel @ parts[other]) * parts[block]).sum(axis=1)
-        # b - a = -(a - b) exactly, so K_JI is the transpose of K_IJ
-        if other != block:
-            rows[other] += ((kernel.T @ parts[block]) * parts[other]).sum(axis=1)
+    spread = float(values[0] - values[-1])
+    if values.size > BLOCK_ROWS and meter.width >= spread:
+        rows = _wide_rows(values, parts, meter.width, spread)
+    else:
+        rows = _blocked_rows(values, parts, meter.width)
     denominator = float(rows.sum())
     if not (denominator > 1e-300):
         raise MeterStatisticsUndefined(

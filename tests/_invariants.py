@@ -1,10 +1,12 @@
 """Randomized-scenario invariant checks and the references (path-level meter sums,
-the json.dumps emitter, the character-loop tokenizer) shared by the suites."""
+the blocked class kernel, the json.dumps emitter, the character-loop tokenizer)
+shared by the suites."""
 
 from __future__ import annotations
 
 import io
 import json
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -12,6 +14,7 @@ from qpaths import (DiagonalObservable, KetState, StateSpace, build_network,
                     conditional_reading_distribution, decompose, expectation,
                     fourier_basis, weak_value)
 from qpaths.cli import _real_text, emit
+from qpaths.meter import BLOCK_ROWS
 
 TOL = 1e-10
 
@@ -28,6 +31,26 @@ def dense_mean_reading(evs, amps, width):
     weighted = cross * np.exp(-diff ** 2 / (8.0 * width ** 2))
     centers = 0.5 * (evs[:, None] + evs[None, :])
     return float((centers * weighted).sum()), float(weighted.sum())
+
+
+def blocked_mean_reading(values, class_amplitudes, width):
+    """Class-level reference: (numerator, denominator) of <x> from the dense overlap
+    kernel, built one pair of class blocks at a time as meter.mean_reading does for
+    narrow meters and for a single block."""
+    parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
+    rows = np.zeros(values.size)
+    blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, values.size, BLOCK_ROWS)]
+    for block, other in combinations_with_replacement(blocks, 2):
+        with np.errstate(over="ignore"):
+            kernel = np.subtract.outer(values[block], values[other])
+            kernel /= width
+            np.square(kernel, out=kernel)
+        kernel *= -1.0 / 8.0
+        np.exp(kernel, out=kernel)
+        rows[block] += ((kernel @ parts[other]) * parts[block]).sum(axis=1)
+        if other != block:
+            rows[other] += ((kernel.T @ parts[block]) * parts[other]).sum(axis=1)
+    return float(values @ rows), float(rows.sum())
 
 
 def dense_reading_amplitude(evs, amps, width, x):

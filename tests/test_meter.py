@@ -1,17 +1,19 @@
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from _invariants import dense_mean_reading, dense_reading_amplitude
+from _invariants import blocked_mean_reading, dense_mean_reading, dense_reading_amplitude
 from qpaths import (DiagonalObservable, KetState, MeterModel,
                     MeterStatisticsUndefined, StateSpace, WeakValueUndefined,
                     build_network, conditional_reading_distribution, decompose,
                     fourier_basis, grid_mean_reading, hardy, mean_reading,
                     reading_amplitude, scaled_widths, three_box,
                     weak_limit_convergence, weak_value)
-from qpaths.meter import BLOCK_ROWS
+from qpaths.measurement import path_classes
+from qpaths.meter import BLOCK_ROWS, WIDE_RANK
 from qpaths.oracle import MEAN_READING_TOL, WIDTH_RATIOS
 
 
@@ -262,3 +264,76 @@ def test_blocked_mean_reading_matches_grid_oracle(spectrum):
         meter = MeterModel(width)
         assert mean_reading(dec, obs, meter) == pytest.approx(
             grid_mean_reading(dec, obs, meter), abs=MEAN_READING_TOL)
+
+
+def mean_reading_peak(ratio):
+    """tracemalloc peak of one mean reading over 2048 distinct classes, in bytes."""
+    space, dec, rng = random_transition(2048, 7)
+    obs = DiagonalObservable(space, rng.permutation(2048))
+    meter = MeterModel(ratio * obs.spread)
+    tracemalloc.start()
+    try:
+        mean_reading(dec, obs, meter)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_class_kernel_memory_is_bounded_by_one_block_pair_for_narrow_meters():
+    # a narrow meter keeps the dense blocked kernel
+    assert mean_reading_peak(0.1) < 2_000_000
+
+
+def wide_spectrum(name, k, rng):
+    if name == "permutation":
+        return rng.permutation(k).astype(float)
+    if name == "normal":
+        return rng.normal(size=k)
+    if name == "clustered":
+        return np.concatenate((rng.normal(0.0, 1e-6, size=k // 2),
+                               rng.normal(1.0, 1e-6, size=k - k // 2)))
+    return 1e12 + rng.permutation(k)
+
+
+@pytest.mark.parametrize("k", [257, 600, 2048])
+@pytest.mark.parametrize("spectrum", ["permutation", "normal", "clustered", "offset"])
+def test_wide_meter_matches_blocked_kernel(k, spectrum):
+    space, dec, rng = random_transition(k, 13)
+    obs = DiagonalObservable(space, wide_spectrum(spectrum, k, rng))
+    assert obs.classes.values.size == k > BLOCK_ROWS
+    class_amplitudes = path_classes(obs, dec.amplitudes)
+    # the across-blocks tolerance, for eigenvalues of size up to max |a| instead of 2
+    scale = float(np.sum(np.abs(dec.amplitudes) ** 2) * np.abs(obs.eigenvalues).max())
+    for width in scaled_widths(obs, (1.0, 1.5, 10.0, 100.0, 1e6)) + (1e308,):
+        numerator, denominator = blocked_mean_reading(obs.classes.values, class_amplitudes,
+                                                      width)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reading = mean_reading(dec, obs, MeterModel(width))
+        assert reading == pytest.approx(numerator / denominator,
+                                        abs=1e-12 * scale / abs(denominator))
+
+
+@pytest.mark.parametrize("k, ratio", [(BLOCK_ROWS, 100.0), (600, 0.99)])
+def test_dense_kernel_kept_within_one_block_and_for_narrow_meters(k, ratio):
+    # the dense kernel to the last bit, so outputs over these classes do not move
+    space, dec, rng = random_transition(k, 17)
+    obs = DiagonalObservable(space, rng.normal(size=k))
+    width = ratio * obs.spread
+    numerator, denominator = blocked_mean_reading(
+        obs.classes.values, path_classes(obs, dec.amplitudes), width)
+    assert mean_reading(dec, obs, MeterModel(width)) == numerator / denominator
+
+
+@pytest.mark.parametrize("ratio", [1.0, 100.0])
+def test_wide_meter_builds_no_kernel_block(ratio):
+    # one BLOCK_ROWS x BLOCK_ROWS float block takes 0.5 MB
+    assert mean_reading_peak(ratio) < BLOCK_ROWS * BLOCK_ROWS * 8
+
+
+def test_wide_rank_is_smallest_meeting_the_tail_bound():
+    # relative tail of exp(x) after p Taylor terms for |x| <= 1/16
+    def tail(p):
+        return (1.0 / 16.0) ** p / math.factorial(p) * math.exp(1.0 / 16.0)
+
+    assert tail(WIDE_RANK) < 2.0 ** -60 <= tail(WIDE_RANK - 1)
