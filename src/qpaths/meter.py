@@ -175,6 +175,12 @@ def mean_reading(decomposition: PathDecomposition,
     values = observable.classes.values
     class_amplitudes = path_classes(observable, decomposition.amplitudes)
     parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
+    # <x> is a ratio of two quadratic forms in A, so a power-of-two scale that
+    # brings the largest part into [1/2, 1) changes no bit of it, while
+    # amplitudes near the bottom of the float range would square to zero
+    largest = float(np.abs(parts).max())
+    if largest > 0.0:
+        np.ldexp(parts, -np.frexp(largest)[1], out=parts)
     spread = float(values[0] - values[-1])
     if values.size > BLOCK_ROWS and meter.width >= spread:
         rows = _wide_rows(values, parts, meter.width, spread)

@@ -80,6 +80,25 @@ def test_mean_reading_undefined_when_post_selection_impossible():
         mean_reading(dec, obs, MeterModel(1.0))
 
 
+def test_mean_reading_defined_for_amplitudes_whose_squares_underflow():
+    # one path of amplitude 2.5e-161: |A|^2 is a subnormal 6.4e-322
+    space = StateSpace.of_dimension(3)
+    dec = decompose(KetState(space, [0, 0, 1]), KetState(space, [0, 1, 2.52754399e-161]))
+    assert mean_reading(dec, DiagonalObservable(space, [-1.0, -1.0, -1.0]),
+                        MeterModel(1.0)) == -1.0
+    # <x> is invariant under scaling either state, down to the bottom of the float range
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=3) + 1j * rng.normal(size=3)
+    v = rng.normal(size=3) + 1j * rng.normal(size=3)
+    obs = DiagonalObservable(space, [-1.0, 0.5, 2.0])
+    meter = MeterModel(0.8)
+    reference = mean_reading(decompose(KetState(space, u), KetState(space, v)), obs, meter)
+    for scale in (1e-160, 1e-200, 1e150):
+        dec = decompose(KetState(space, u, normalize=False),
+                        KetState(space, scale * v, normalize=False))
+        assert mean_reading(dec, obs, meter) == pytest.approx(reference, rel=1e-12)
+
+
 def test_three_box_mean_reading_is_width_independent():
     sc = three_box(0.5)
     dec = decompose(sc.initial, sc.final("f"))
