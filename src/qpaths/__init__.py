@@ -10,13 +10,12 @@ file format, and a command-line interface.
 """
 
 from .errors import (DimensionMismatch, MeterStatisticsUndefined,
-                     NonOrthogonalFinals, NonProjectorError,
-                     PostSelectionImpossible, QPathsError, ScenarioParseError,
-                     UnknownNameError, WeakValueUndefined, ZeroStateError)
-from .statespace import (BasisLabel, DiagonalObservable, KetState, StateSpace,
-                         expectation, fourier_basis, inner, normalize, tensor)
-from .pathsum import (AmplitudeTable, PathDecomposition, amplitude_table,
-                      decompose, transition_probability)
+                     NonProjectorError, PostSelectionImpossible, QPathsError,
+                     ScenarioParseError, UnknownNameError, WeakValueUndefined,
+                     ZeroStateError)
+from .statespace import (DiagonalObservable, KetState, StateSpace, expectation,
+                         fourier_basis)
+from .pathsum import AmplitudeTable, PathDecomposition, amplitude_table, decompose
 from .measurement import (PathwayClass, PathwayNetwork, ProductRuleReport,
                           SumRuleReport, all_outcomes_probability,
                           build_network, certain_reading,
@@ -35,9 +34,9 @@ from .scenario_io import (QueryDirective, ScenarioDocument, load_path, parse,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeTable", "BasisLabel", "CheckResult", "DiagonalObservable",
+    "AmplitudeTable", "CheckResult", "DiagonalObservable",
     "DimensionMismatch", "KetState", "MeterModel", "MeterStatisticsUndefined",
-    "NonOrthogonalFinals", "NonProjectorError", "PathDecomposition",
+    "NonProjectorError", "PathDecomposition",
     "PathwayClass", "PathwayNetwork", "PostSelectionImpossible",
     "ProductRuleReport", "QPathsError", "QueryDirective",
     "RESERVED_NAMES", "Scenario", "ScenarioDocument", "ScenarioParseError",
@@ -47,10 +46,9 @@ __all__ = [
     "built_in", "built_in_library", "certain_reading",
     "conditional_reading_distribution", "decompose", "epsilon_grid",
     "expectation", "fourier_basis", "grid_mean_reading", "hardy",
-    "hardy_epsilon", "inner", "load_path", "mean_reading", "normalize",
-    "parse", "product_rule_report",
-    "projective_joint", "reading_amplitude", "scaled_widths",
-    "serialize", "sum_rule_report", "tensor", "three_box",
-    "transition_probability", "validate", "verification_checks",
+    "hardy_epsilon", "load_path", "mean_reading", "parse",
+    "product_rule_report", "projective_joint", "reading_amplitude",
+    "scaled_widths", "serialize", "sum_rule_report", "three_box",
+    "validate", "verification_checks",
     "weak_limit_convergence", "weak_value",
 ]

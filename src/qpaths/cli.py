@@ -149,8 +149,7 @@ def emit(fmt: str, tables: list[Table], out: TextIO) -> None:
 
 
 def amplitudes_table(scenario: Scenario) -> Table:
-    table = amplitude_table(scenario.initial, dict(scenario.finals),
-                            require_orthogonal=False)
+    table = amplitude_table(scenario.initial, dict(scenario.finals))
     rows = []
     for k, label in enumerate(table.path_labels):
         rows.append((label, *[complex(v) for v in table.values[k]]))

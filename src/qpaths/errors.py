@@ -26,10 +26,6 @@ class NonProjectorError(QPathsError, ValueError):
     """An operation required eigenvalues restricted to {0, 1}."""
 
 
-class NonOrthogonalFinals(QPathsError, ValueError):
-    """A family of final states was required to be mutually orthogonal."""
-
-
 class PostSelectionImpossible(QPathsError, ValueError):
     """The conditioning event has probability zero."""
 

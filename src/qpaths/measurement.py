@@ -50,10 +50,6 @@ class PathwayNetwork:
     observable: DiagonalObservable
     classes: tuple[PathwayClass, ...]
 
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(c.eigenvalue for c in self.classes)
-
     def class_for(self, eigenvalue: float) -> PathwayClass:
         for c in self.classes:
             if c.eigenvalue == eigenvalue:
@@ -66,10 +62,6 @@ class PathwayNetwork:
     @property
     def perturbed_probability(self) -> float:
         return float(sum(c.probability for c in self.classes))
-
-    @property
-    def unperturbed_probability(self) -> float:
-        return float(abs(self.decomposition.total_amplitude) ** 2)
 
 
 def path_classes(observable: DiagonalObservable, amplitudes: np.ndarray) -> np.ndarray:

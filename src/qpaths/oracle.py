@@ -79,10 +79,6 @@ class CheckResult:
     def passed(self) -> bool:
         return self.deviation <= self.tolerance
 
-    def __str__(self) -> str:
-        word = "pass" if self.passed else "FAIL"
-        return f"{word}  {self.name}  deviation {self.deviation:.3e}  tolerance {self.tolerance:.1e}"
-
 
 PROJECTIVE_TOL = 1e-12
 MEAN_READING_TOL = 1e-6

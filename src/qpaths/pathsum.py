@@ -17,8 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonOrthogonalFinals
-from .statespace import KetState, StateSpace, overlapping_pairs
+from .errors import DimensionMismatch
+from .statespace import KetState, StateSpace
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,10 +38,6 @@ class PathDecomposition:
         """<f|i>: coherent sum over all paths."""
         return complex(self.amplitudes.sum())
 
-    def amplitude(self, which: int | str) -> complex:
-        k = which if isinstance(which, int) else self.space.index(which)
-        return complex(self.amplitudes[k])
-
     def __repr__(self) -> str:
         amps = ", ".join(f"{a:.6g}" for a in self.amplitudes)
         return f"PathDecomposition([{amps}])"
@@ -54,11 +50,6 @@ def decompose(initial: KetState, final: KetState) -> PathDecomposition:
     amps = np.conjugate(final.amplitudes) * initial.amplitudes
     amps.setflags(write=False)
     return PathDecomposition(initial, final, amps)
-
-
-def transition_probability(initial: KetState, final: KetState) -> float:
-    """|<final|initial>|^2 via the coherent path sum."""
-    return float(abs(decompose(initial, final).total_amplitude) ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,35 +70,19 @@ class AmplitudeTable:
     def path_labels(self) -> tuple[str, ...]:
         return self.space.labels
 
-    def column(self, final_name: str) -> np.ndarray:
-        return self.values[:, self.final_names.index(final_name)]
 
-    @property
-    def total_amplitudes(self) -> np.ndarray:
-        return self.values.sum(axis=0)
-
-    @property
-    def transition_probabilities(self) -> np.ndarray:
-        return np.abs(self.total_amplitudes) ** 2
-
-
-def amplitude_table(initial: KetState, finals: Mapping[str, KetState],
-                    *, require_orthogonal: bool = True) -> AmplitudeTable:
+def amplitude_table(initial: KetState, finals: Mapping[str, KetState]) -> AmplitudeTable:
     """Tabulate path amplitudes against a named family of final states.
 
-    The family must be mutually orthogonal (the table's columns then
-    describe exclusive outcomes); pass require_orthogonal=False to
-    tabulate a non-orthogonal family anyway.
+    The finals need not be orthogonal.  Overlapping finals are not an
+    error here: scenario_io.validate reports them, as a note that the
+    command line prints as a `note:` line on stderr.
     """
     names = tuple(finals.keys())
     states = [finals[name] for name in names]
     for st in states:
         if st.space != initial.space:
             raise DimensionMismatch("final states must share the initial state's space")
-    if require_orthogonal and (pairs := overlapping_pairs(states)):
-        a, b, overlap = pairs[0]
-        raise NonOrthogonalFinals(
-            f"finals {names[a]!r} and {names[b]!r} overlap (|<a|b>| = {overlap:.3g})")
     columns = [decompose(initial, st).amplitudes for st in states]
     values = np.column_stack(columns) if columns else np.zeros((initial.dimension, 0), complex)
     values.setflags(write=False)

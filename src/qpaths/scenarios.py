@@ -51,14 +51,6 @@ class Scenario:
         except KeyError:
             raise UnknownNameError("observable", name, tuple(self.observables)) from None
 
-    @property
-    def final_names(self) -> tuple[str, ...]:
-        return tuple(self.finals)
-
-    @property
-    def observable_names(self) -> tuple[str, ...]:
-        return tuple(self.observables)
-
 
 def three_box(beta: float = 0.5) -> Scenario:
     """One particle over three boxes with path amplitudes (beta, -beta, -beta).

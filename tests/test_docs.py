@@ -1,10 +1,16 @@
 """The README documents what the command line and scenario parser accept."""
 
 import argparse
+import ast
+import importlib
+import operator
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+
+import qpaths
 from qpaths.cli import build_parser, main
 from qpaths.scenario_io import QUERY_KINDS
 
@@ -37,3 +43,35 @@ def test_readme_command_lines_exit_zero(capsys):
             continue  # names a file the reader writes
         assert main(argv[1:]) == 0, argv
         assert capsys.readouterr().err == "", argv
+
+
+def test_readme_library_block_runs_and_its_comments_hold():
+    block = re.search(r"## Library\s+```python\n(.*?)```", README, re.DOTALL).group(1)
+    assert set(re.findall(r"\bqp\.(\w+)", block)) <= set(qpaths.__all__)
+    namespace = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expression = compile(code, "README", "eval")
+        except SyntaxError:
+            exec(code, namespace)
+            continue
+        got = eval(expression, namespace)
+        want = ast.literal_eval(comment.strip())
+        if isinstance(want, tuple):
+            assert np.array_equal(got, want), line
+        else:
+            assert got == want, line
+        checked += 1
+    assert checked == 6
+
+
+def test_readme_layer_bullets_name_what_exists():
+    bullets = re.search(r"Layer by layer:\n(.*?)\n## ", README, re.DOTALL).group(1)
+    for bullet in re.split(r"\n\* ", "\n" + bullets.strip())[1:]:
+        head = re.match(r"`(\w+)`", bullet)
+        module = importlib.import_module(f"qpaths.{head.group(1)}")
+        for name in re.findall(r"`([A-Za-z]\w*(?:\.\w+)*)`", bullet[head.end():]):
+            if "_" in name or "." in name:
+                operator.attrgetter(name)(module)  # AttributeError once a name is gone
