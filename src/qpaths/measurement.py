@@ -13,6 +13,7 @@ which generally differs from the undisturbed |sum_n amp(n)|^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,11 +45,42 @@ class PathwayClass:
 
 @dataclass(frozen=True, eq=False)
 class PathwayNetwork:
-    """Partition of a transition's paths induced by one accurate measurement."""
+    """Partition of a transition's paths induced by one accurate measurement.
+
+    amplitudes holds the coherent sum A_a of the path amplitudes in each
+    eigenvalue class, read-only, in the order of observable.classes.values
+    (DiagonalObservable.classes: the distinct eigenvalues largest first,
+    grouped exactly, with 0.0 and -0.0 one class).  Build one with
+    PathwayNetwork.of.
+    """
 
     decomposition: PathDecomposition
     observable: DiagonalObservable
-    classes: tuple[PathwayClass, ...]
+    amplitudes: np.ndarray
+
+    @classmethod
+    def of(cls, decomposition: PathDecomposition,
+           observable: DiagonalObservable) -> PathwayNetwork:
+        """Sum the transition's path amplitudes into the observable's classes."""
+        if observable.space != decomposition.space:
+            raise DimensionMismatch("observable lives over a different space than the transition")
+        index = observable.classes.index
+        k = observable.classes.values.size
+        paths = decomposition.amplitudes
+        amplitudes = (np.bincount(index, weights=paths.real, minlength=k)
+                      + 1j * np.bincount(index, weights=paths.imag, minlength=k))
+        amplitudes.setflags(write=False)
+        return cls(decomposition, observable, amplitudes)
+
+    @cached_property
+    def classes(self) -> tuple[PathwayClass, ...]:
+        """One PathwayClass per eigenvalue, in the order of the amplitudes."""
+        values, index, order = self.observable.classes
+        members = order.tolist()
+        ends = np.cumsum(np.bincount(index, minlength=values.size)).tolist()
+        return tuple(PathwayClass(ev, tuple(members[start:end]), amp)
+                     for ev, start, end, amp in zip(values.tolist(), [0] + ends, ends,
+                                                    self.amplitudes.tolist()))
 
     def class_for(self, eigenvalue: float) -> PathwayClass:
         for c in self.classes:
@@ -64,20 +96,6 @@ class PathwayNetwork:
         return float(sum(c.probability for c in self.classes))
 
 
-def path_classes(observable: DiagonalObservable, amplitudes: np.ndarray) -> np.ndarray:
-    """Coherent sum A_a of the path amplitudes in each eigenvalue class.
-
-    The observable holds its classes (DiagonalObservable.classes: the
-    distinct eigenvalues largest first, grouped exactly, with 0.0 and
-    -0.0 one class); a call only sums the amplitudes into them, in the
-    order of observable.classes.values.
-    """
-    index = observable.classes.index
-    k = observable.classes.values.size
-    return (np.bincount(index, weights=amplitudes.real, minlength=k)
-            + 1j * np.bincount(index, weights=amplitudes.imag, minlength=k))
-
-
 def build_network(initial: KetState, final: KetState,
                   observable: DiagonalObservable) -> PathwayNetwork:
     """Group the transition's paths by the observable's eigenvalues.
@@ -85,17 +103,7 @@ def build_network(initial: KetState, final: KetState,
     Classes are ordered by eigenvalue, largest first; members keep path
     order, taken from the observable's classes (DiagonalObservable.classes).
     """
-    dec = decompose(initial, final)
-    if observable.space != dec.space:
-        raise DimensionMismatch("observable lives over a different space than the states")
-    values, index, order = observable.classes
-    class_amplitudes = path_classes(observable, dec.amplitudes).tolist()
-    members = order.tolist()
-    ends = np.cumsum(np.bincount(index, minlength=values.size)).tolist()
-    classes = tuple(PathwayClass(ev, tuple(members[start:end]), amp)
-                    for ev, start, end, amp in zip(values.tolist(), [0] + ends, ends,
-                                                   class_amplitudes))
-    return PathwayNetwork(dec, observable, classes)
+    return PathwayNetwork.of(decompose(initial, final), observable)
 
 
 def conditional_reading_distribution(network: PathwayNetwork) -> dict[float, float]:

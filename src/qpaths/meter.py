@@ -7,11 +7,10 @@ shift it alike, so post-selecting the system leaves the pointer in
 
     Psi(x) = sum_a G(x - a) A_a,    A_a = sum_{n: F(n) = a} amp(n),
 
-a sum over pathway classes.  The observable holds its classes
-(DiagonalObservable.classes), computed once on first use; each call
-here only sums the path amplitudes into them (measurement.path_classes)
-before working on k classes instead of n paths.  Overlaps of
-shifted pointer states give the reading statistics in closed form:
+a sum over pathway classes.  Each call reads the class sums A_a from
+one record (measurement.PathwayNetwork.of) and works on k classes
+instead of n paths.  Overlaps of shifted pointer states give the
+reading statistics in closed form:
 int G(x-a) G(x-b) dx = K_ab = exp(-((a-b)/w)^2 / 8), and the same
 integral weighted by x carries the extra factor (a+b)/2.  By the
 symmetry of Re(A_a conj(A_b)) K_ab,
@@ -71,7 +70,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, MeterStatisticsUndefined,
                      WeakValueUndefined)
-from .measurement import path_classes
+from .measurement import PathwayNetwork
 from .pathsum import PathDecomposition
 from .statespace import DiagonalObservable
 
@@ -108,12 +107,6 @@ class MeterModel:
         return pointer if pointer.ndim else pointer[()]
 
 
-def _check_spaces(decomposition: PathDecomposition,
-                  observable: DiagonalObservable) -> None:
-    if decomposition.space != observable.space:
-        raise DimensionMismatch("observable lives over a different space than the transition")
-
-
 def reading_amplitude(decomposition: PathDecomposition,
                       observable: DiagonalObservable,
                       meter: MeterModel, x):
@@ -121,10 +114,9 @@ def reading_amplitude(decomposition: PathDecomposition,
 
     Accepts a scalar or an array of pointer positions.
     """
-    _check_spaces(decomposition, observable)
+    network = PathwayNetwork.of(decomposition, observable)
     values = observable.classes.values
-    class_amplitudes = path_classes(observable, decomposition.amplitudes)
-    parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
+    parts = network.amplitudes.view(float).reshape(-1, 2)
     x = np.asarray(x, dtype=float)
     # the pointer is real, so the sum is a real product with [Re A, Im A]
     sums = np.zeros(x.shape + (2,))
@@ -171,17 +163,17 @@ def mean_reading(decomposition: PathDecomposition,
                  observable: DiagonalObservable,
                  meter: MeterModel) -> float:
     """Mean pointer reading, in closed form via the class overlap kernel."""
-    _check_spaces(decomposition, observable)
+    network = PathwayNetwork.of(decomposition, observable)
     values = observable.classes.values
-    class_amplitudes = path_classes(observable, decomposition.amplitudes)
-    parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
+    parts = network.amplitudes.view(float).reshape(-1, 2)
     # <x> is a ratio of two quadratic forms in A, so a power-of-two scale that
     # brings the largest part into [1/2, 1) changes no bit of it, while
-    # amplitudes near the bottom of the float range would square to zero
+    # amplitudes near the bottom of the float range would square to zero;
+    # parts views the read-only record, so the scaled parts are a new array
     largest = float(np.abs(parts).max())
     if largest > 0.0:
-        np.ldexp(parts, -np.frexp(largest)[1], out=parts)
-    spread = float(values[0] - values[-1])
+        parts = np.ldexp(parts, -np.frexp(largest)[1])
+    spread = observable.spread
     if values.size > BLOCK_ROWS and meter.width >= spread:
         rows = _wide_rows(values, parts, meter.width, spread)
     else:
@@ -216,7 +208,8 @@ def weak_value(decomposition: PathDecomposition,
     observable; for a single contributing path it reduces to that path's
     eigenvalue.
     """
-    _check_spaces(decomposition, observable)
+    if decomposition.space != observable.space:
+        raise DimensionMismatch("observable lives over a different space than the transition")
     amps = decomposition.amplitudes
     total = decomposition.total_amplitude
     if abs(total) <= amps.size * np.finfo(float).eps * float(np.abs(amps).sum()):

@@ -38,7 +38,7 @@ def projective_joint(initial: KetState, final: KetState,
     f = final.amplitudes
     i = initial.amplitudes
     result: dict[float, float] = {}
-    for ev in observable.distinct_eigenvalues:
+    for ev in observable.classes.values.tolist():
         projector = np.diag((observable.eigenvalues == ev).astype(float))
         bracket = np.conjugate(f) @ projector @ i
         result[ev] = float(abs(bracket) ** 2)

@@ -187,18 +187,14 @@ class DiagonalObservable:
         return EigenvalueClasses(values, index, order)
 
     @property
-    def distinct_eigenvalues(self) -> tuple[float, ...]:
-        """Distinct eigenvalues, largest first (the class values)."""
-        return tuple(self.classes.values.tolist())
-
-    @property
     def is_projector(self) -> bool:
         return bool(np.all((self.eigenvalues == 0.0) | (self.eigenvalues == 1.0)))
 
     @property
     def spread(self) -> float:
         """Width of the spectrum: max eigenvalue minus min eigenvalue."""
-        return float(self.eigenvalues.max() - self.eigenvalues.min())
+        values = self.classes.values
+        return float(values[0] - values[-1])
 
     def __add__(self, other: DiagonalObservable) -> DiagonalObservable:
         if self.space != other.space:

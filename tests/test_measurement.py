@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from _invariants import class_values
-from qpaths import (DiagonalObservable, KetState, NonProjectorError,
-                    PostSelectionImpossible, StateSpace,
-                    all_outcomes_probability, build_network, certain_reading,
-                    conditional_reading_distribution, hardy,
-                    product_rule_report, sum_rule_report, three_box)
+from qpaths import (DiagonalObservable, DimensionMismatch, KetState, MeterModel,
+                    NonProjectorError, PathwayNetwork, PostSelectionImpossible,
+                    StateSpace, all_outcomes_probability, build_network,
+                    certain_reading, conditional_reading_distribution, decompose,
+                    hardy, mean_reading, product_rule_report, reading_amplitude,
+                    sum_rule_report, three_box, weak_value)
 
 
 def hardy_network(final_name, obs_name):
@@ -69,6 +70,43 @@ def test_signed_zero_eigenvalues_form_one_class():
     assert zero.members == (0, 2)
     assert zero.multiplicity == 2
     assert zero.amplitude == pytest.approx(4.0 / 42 ** 0.5, abs=1e-15)
+
+
+def test_network_amplitudes_are_read_only_class_sums():
+    rng = np.random.default_rng(5)
+    space = StateSpace.of_dimension(40)
+    dec = decompose(KetState(space, rng.normal(size=40) + 1j * rng.normal(size=40)),
+                    KetState(space, rng.normal(size=40) + 1j * rng.normal(size=40)))
+    obs = DiagonalObservable(space, rng.integers(-3, 4, size=40) * 0.5)
+    net = PathwayNetwork.of(dec, obs)
+    index, k = obs.classes.index, obs.classes.values.size
+    real = np.bincount(index, weights=dec.amplitudes.real, minlength=k)
+    imag = np.bincount(index, weights=dec.amplitudes.imag, minlength=k)
+    assert np.array_equal(net.amplitudes.real, real)
+    assert np.array_equal(net.amplitudes.imag, imag)
+    assert not net.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        net.amplitudes[0] = 0.0
+    assert net.classes is net.classes
+    assert [c.amplitude for c in net.classes] == net.amplitudes.tolist()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(build_network, id="build_network"),
+    pytest.param(lambda i, f, obs: PathwayNetwork.of(decompose(i, f), obs),
+                 id="PathwayNetwork.of"),
+    pytest.param(lambda i, f, obs: mean_reading(decompose(i, f), obs, MeterModel(1.0)),
+                 id="mean_reading"),
+    pytest.param(lambda i, f, obs: reading_amplitude(decompose(i, f), obs, MeterModel(1.0),
+                                                     0.0),
+                 id="reading_amplitude"),
+    pytest.param(lambda i, f, obs: weak_value(decompose(i, f), obs), id="weak_value"),
+])
+def test_observable_over_another_space_is_rejected(call):
+    space = StateSpace(("a", "b", "c"))
+    other = DiagonalObservable(StateSpace(("x", "y", "z")), [1.0, 0.0, -1.0])
+    with pytest.raises(DimensionMismatch):
+        call(KetState(space, [1, 1, 1]), KetState(space, [1, 2, 3]), other)
 
 
 def test_conditional_distribution():

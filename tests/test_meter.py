@@ -12,7 +12,7 @@ from qpaths import (DiagonalObservable, KetState, MeterModel,
                     fourier_basis, grid_mean_reading, hardy, mean_reading,
                     reading_amplitude, scaled_widths, three_box,
                     weak_limit_convergence, weak_value)
-from qpaths.measurement import path_classes
+from qpaths.measurement import PathwayNetwork
 from qpaths.meter import BLOCK_ROWS, WIDE_RANK
 from qpaths.oracle import MEAN_READING_TOL, WIDTH_RATIOS
 
@@ -320,7 +320,7 @@ def test_wide_meter_matches_blocked_kernel(k, spectrum):
     space, dec, rng = random_transition(k, 13)
     obs = DiagonalObservable(space, wide_spectrum(spectrum, k, rng))
     assert obs.classes.values.size == k > BLOCK_ROWS
-    class_amplitudes = path_classes(obs, dec.amplitudes)
+    class_amplitudes = PathwayNetwork.of(dec, obs).amplitudes
     # the across-blocks tolerance, for eigenvalues of size up to max |a| instead of 2
     scale = float(np.sum(np.abs(dec.amplitudes) ** 2) * np.abs(obs.eigenvalues).max())
     for width in scaled_widths(obs, (1.0, 1.5, 10.0, 100.0, 1e6)) + (1e308,):
@@ -340,7 +340,7 @@ def test_dense_kernel_kept_within_one_block_and_for_narrow_meters(k, ratio):
     obs = DiagonalObservable(space, rng.normal(size=k))
     width = ratio * obs.spread
     numerator, denominator = blocked_mean_reading(
-        obs.classes.values, path_classes(obs, dec.amplitudes), width)
+        obs.classes.values, PathwayNetwork.of(dec, obs).amplitudes, width)
     assert mean_reading(dec, obs, MeterModel(width)) == numerator / denominator
 
 

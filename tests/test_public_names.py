@@ -12,9 +12,15 @@ and keyword arguments that share a name):
   imported package (``qp.<name>``), imports it from qpaths, or names it
   in the table of functions the benchmark traces (``TRACED``), whose
   times and call counts the benchmark reports.
+
+The public methods and properties of every exported class are guarded
+too.  Each must be read as an attribute (``obj.<name>``) somewhere in
+the package outside its own def, or anywhere in a benchmark module.
 """
 
 import ast
+import inspect
+from functools import cached_property
 from pathlib import Path
 
 import qpaths
@@ -112,3 +118,54 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert sorted(set(qpaths.__all__) - used - EXEMPT) == []
     # an exemption that gained a caller, or left __all__, is stale
     assert EXEMPT <= set(qpaths.__all__) - used
+
+
+MEMBER_KINDS = (property, cached_property, classmethod, staticmethod)
+
+
+def _public_members() -> set[tuple[str, str, str]]:
+    """(module, class, member) for each public method or property of an exported class."""
+    members = set()
+    for name in qpaths.__all__:
+        cls = getattr(qpaths, name)
+        if not inspect.isclass(cls):
+            continue
+        for member, value in vars(cls).items():
+            if not member.startswith("_") and (isinstance(value, MEMBER_KINDS)
+                                               or inspect.isfunction(value)):
+                members.add((cls.__module__.rpartition(".")[2], cls.__qualname__, member))
+    return members
+
+
+def _attribute_loads(tree: ast.Module, module: str) -> set[tuple[str, tuple | None]]:
+    """(attribute, owner) for each attribute read; owner is the method the read is in."""
+    loads = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loads.add((node.attr, owner))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(node, ast.ClassDef) and isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, (module, node.name, child.name))
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return loads
+
+
+def test_every_public_member_of_an_exported_class_has_a_caller_outside_the_tests():
+    package = set()
+    for path in PACKAGE.glob("*.py"):
+        package |= _attribute_loads(_tree(path), path.stem)
+    benchmark = {attr for path in BENCHMARK.glob("*.py")
+                 for attr, _ in _attribute_loads(_tree(path), path.stem)}
+    members = _public_members()
+    assert ("measurement", "PathwayNetwork", "of") in members
+    assert ("measurement", "PathwayNetwork", "classes") in members
+    uncalled = [member for member in members
+                if member[2] not in benchmark
+                and not any(attr == member[2] and owner != member
+                            for attr, owner in package)]
+    assert sorted(uncalled) == []

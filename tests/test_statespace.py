@@ -116,10 +116,10 @@ def test_inner_requires_same_space():
 def test_observable_basics():
     space = StateSpace(("a", "b", "c"))
     obs = DiagonalObservable(space, [2.0, 0.0, 2.0])
-    assert obs.distinct_eigenvalues == (2.0, 0.0)
+    assert obs.classes.values.tolist() == [2.0, 0.0]
     # -0.0 and 0.0 are one eigenvalue, reported as 0.0, as in the path classes
-    signed = DiagonalObservable(space, [-0.0, 0.0, 1.0]).distinct_eigenvalues
-    assert signed == (1.0, 0.0)
+    signed = DiagonalObservable(space, [-0.0, 0.0, 1.0]).classes.values
+    assert signed.tolist() == [1.0, 0.0]
     assert not np.signbit(signed[1])
     assert obs.spread == 2.0
     assert not obs.is_projector
