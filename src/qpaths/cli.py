@@ -23,7 +23,7 @@ from .measurement import (build_network, conditional_reading_distribution,
 from .meter import MeterModel, mean_reading, scaled_widths, weak_value
 from .oracle import verification_checks
 from .pathsum import amplitude_table, decompose
-from .scenario_io import QUERY_ARGS, QueryDirective, load_path, validate
+from .scenario_io import QUERY_ARGS, QueryDirective, _width_list, load_path, validate
 from .scenarios import Scenario, built_in, epsilon_grid, hardy_epsilon
 
 
@@ -300,12 +300,9 @@ def scan_epsilon_table(obs_name: str, final_name: str, start: float,
 
 def _ratio_list(text: str) -> tuple[float, ...]:
     try:
-        ratios = tuple(float(p) for p in text.split(",") if p)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad width list {text!r}") from None
-    if not ratios or any(not r > 0.0 for r in ratios):
-        raise argparse.ArgumentTypeError("widths must be positive numbers")
-    return ratios
+        return _width_list(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 QUERY_TABLES = {
@@ -318,7 +315,7 @@ QUERY_TABLES = {
     "sum-rule": sum_rule_table,
     "product-rule": product_rule_table,
 }
-_QUERY_VALUE_TYPES = {"width": float, "widths": _ratio_list}
+_QUERY_VALUE_TYPES = {"width": float, "widths": _width_list}
 
 
 def execute_query(scenario: Scenario, q: QueryDirective) -> Table:

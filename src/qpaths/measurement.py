@@ -12,6 +12,7 @@ which generally differs from the undisturbed |sum_n amp(n)|^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import (DimensionMismatch, NonProjectorError,
                      PostSelectionImpossible)
 from .pathsum import PathDecomposition, decompose
-from .statespace import DiagonalObservable, KetState, expectation
+from .statespace import DiagonalObservable, KetState, _power_of_two_scaled, expectation
 
 CERTAINTY_TOL = 1e-10
 
@@ -82,18 +83,14 @@ class PathwayNetwork:
                      for ev, start, end, amp in zip(values.tolist(), [0] + ends, ends,
                                                     self.amplitudes.tolist()))
 
-    def class_for(self, eigenvalue: float) -> PathwayClass:
-        for c in self.classes:
-            if c.eigenvalue == eigenvalue:
-                return c
-        raise KeyError(f"no pathway class with eigenvalue {eigenvalue!r}")
-
     def probability_of(self, eigenvalue: float) -> float:
-        return self.class_for(eigenvalue).probability
+        """|A_a|^2, joint with the post-selection; 0.0 for a reading no path carries."""
+        found = np.flatnonzero(self.observable.classes.values == eigenvalue)
+        return float(abs(complex(self.amplitudes[found[0]])) ** 2) if found.size else 0.0
 
     @property
     def perturbed_probability(self) -> float:
-        return float(sum(c.probability for c in self.classes))
+        return float((np.hypot(self.amplitudes.real, self.amplitudes.imag) ** 2).sum())
 
 
 def build_network(initial: KetState, final: KetState,
@@ -106,16 +103,31 @@ def build_network(initial: KetState, final: KetState,
     return PathwayNetwork.of(decompose(initial, final), observable)
 
 
+def _weight_vanishes(weight: float, amplitudes: np.ndarray, rounding: float) -> bool:
+    """The one rule for "undefined" (the meter module docstring derives it): W = weight
+    counts as zero when W <= 2 rho S + rho^2 + 6 k eps S^2 or is nan, with rho = rounding,
+    S = sum_a |A_a| and k = A.size for A = amplitudes, all at one power-of-two scale."""
+    s = float(np.abs(amplitudes).sum())
+    return not weight > (2.0 * rounding * s + rounding * rounding
+                         + 6.0 * amplitudes.size * float(np.finfo(float).eps) * s * s)
+
+
 def conditional_reading_distribution(network: PathwayNetwork) -> dict[float, float]:
     """Distribution of the reading given that the post-selection succeeded.
 
-    Raises PostSelectionImpossible when every class amplitude vanishes.
+    Raises PostSelectionImpossible when the post-selection probability
+    sum_a |A_a|^2 is zero to within rounding (_weight_vanishes, K = I).
     """
-    total = network.perturbed_probability
-    if total == 0.0:
+    rounding = network.decomposition.rounding
+    amplitudes, e = _power_of_two_scaled(network.amplitudes, rounding)
+    # np.hypot rounds as abs(complex) does; np.abs of complex can differ in the last bit
+    probabilities = np.hypot(amplitudes.real, amplitudes.imag) ** 2
+    total = probabilities.sum()
+    if _weight_vanishes(float(total), amplitudes, math.ldexp(rounding, -e)):
         raise PostSelectionImpossible(
             "post-selection has probability zero after this measurement")
-    return {c.eigenvalue: c.probability / total for c in network.classes}
+    return dict(zip(network.observable.classes.values.tolist(),
+                    (probabilities / total).tolist()))
 
 
 def certain_reading(network: PathwayNetwork) -> float | None:
@@ -167,18 +179,9 @@ def sum_rule_report(initial: KetState, final: KetState,
         raise NonProjectorError("sum rule needs projectors with disjoint support")
     combined = first + second
 
-    def joint_reading_one(obs: DiagonalObservable) -> float:
-        net = build_network(initial, final, obs)
-        try:
-            return net.probability_of(1.0)
-        except KeyError:
-            return 0.0
-
-    ja, jb = joint_reading_one(first), joint_reading_one(second)
-    jc = joint_reading_one(combined)
-    aa = all_outcomes_probability(initial, first)
-    ab = all_outcomes_probability(initial, second)
-    ac = all_outcomes_probability(initial, combined)
+    ja, jb, jc = (build_network(initial, final, obs).probability_of(1.0)
+                  for obs in (first, second, combined))
+    aa, ab, ac = (all_outcomes_probability(initial, obs) for obs in (first, second, combined))
     return SumRuleReport(
         joint_first=ja, joint_second=jb, joint_combined=jc,
         holds_postselected=abs(jc - (ja + jb)) <= CERTAINTY_TOL,

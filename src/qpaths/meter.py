@@ -58,10 +58,23 @@ R_a = |A_a|^2, and the mean is the eigenvalue average under the
 conditional reading distribution of an accurate measurement.  As
 w -> infinity, K -> 1: R_a = Re(A_a conj(sum_b A_b)), and the mean is
 Re[ sum_a a A_a / sum_a A_a ], the real part of the weak value.
+
+Undefined readings.  A statistic divides by W = sum_ab Re(A_a conj(A_b)) K_ab,
+K positive semidefinite with entries in [0, 1] (K = I for the conditional
+distribution).  Class sums off by d_a, sum_a |d_a| <= rho =
+PathDecomposition.rounding, move W by W(d) - 2 Re(d^H K A), in
+[-2 rho S, rho^2] for S = sum_a |A_a|.  Computing W rounds each term (whose
+absolute values total at most S^2) at most 2k + 2 times by u = eps/2, and a
+K_ab is off by at most 4u (the 5u relative error of its argument x, times
+|x| e^x <= 1/e, plus exp's rounding): (2k + 6) u S^2 <= c k eps S^2, c = 6.
+The wide kernel's 2k + 12 roundings and 44u factor error, against entries
+summing to at most e^(1/16), fit too.  So W counts as zero when
+W <= 2 rho S + rho^2 + 6 k eps S^2 (measurement._weight_vanishes).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -70,9 +83,9 @@ import numpy as np
 
 from .errors import (DimensionMismatch, MeterStatisticsUndefined,
                      WeakValueUndefined)
-from .measurement import PathwayNetwork
+from .measurement import PathwayNetwork, _weight_vanishes
 from .pathsum import PathDecomposition
-from .statespace import DiagonalObservable
+from .statespace import DiagonalObservable, _power_of_two_scaled
 
 # classes per block: a mean reading forms K one pair of blocks at a time,
 # and a reading amplitude forms the pointer sum one block of terms at a time
@@ -162,24 +175,20 @@ def _wide_rows(values: np.ndarray, parts: np.ndarray, width: float,
 def mean_reading(decomposition: PathDecomposition,
                  observable: DiagonalObservable,
                  meter: MeterModel) -> float:
-    """Mean pointer reading, in closed form via the class overlap kernel."""
+    """Mean pointer reading, in closed form via the class overlap kernel; undefined
+    (raises) when its weight sum_a R_a is zero to within rounding (_weight_vanishes)."""
     network = PathwayNetwork.of(decomposition, observable)
     values = observable.classes.values
-    parts = network.amplitudes.view(float).reshape(-1, 2)
-    # <x> is a ratio of two quadratic forms in A, so a power-of-two scale that
-    # brings the largest part into [1/2, 1) changes no bit of it, while
-    # amplitudes near the bottom of the float range would square to zero;
-    # parts views the read-only record, so the scaled parts are a new array
-    largest = float(np.abs(parts).max())
-    if largest > 0.0:
-        parts = np.ldexp(parts, -np.frexp(largest)[1])
+    # <x> is a ratio of quadratic forms in A, so an exact scale keeps every bit of it
+    amplitudes, e = _power_of_two_scaled(network.amplitudes, decomposition.rounding)
+    parts = amplitudes.view(float).reshape(-1, 2)
     spread = observable.spread
     if values.size > BLOCK_ROWS and meter.width >= spread:
         rows = _wide_rows(values, parts, meter.width, spread)
     else:
         rows = _blocked_rows(values, parts, meter.width)
     denominator = float(rows.sum())
-    if not (denominator > 1e-300):
+    if _weight_vanishes(denominator, amplitudes, math.ldexp(decomposition.rounding, -e)):
         raise MeterStatisticsUndefined(
             "post-selection succeeds with probability zero; no reading distribution")
     return float(values @ rows / denominator)
@@ -202,19 +211,18 @@ def weak_value(decomposition: PathDecomposition,
     """sum_n F(n) amp(n) / sum_n amp(n).
 
     Undefined (raises) when the total transition amplitude is zero to
-    within the rounding error of its sum, |sum amp| <= n eps sum |amp|:
-    below that bound its phase and size are noise.  The result is
-    invariant under rescaling either state and is linear in the
-    observable; for a single contributing path it reduces to that path's
-    eigenvalue.
+    within the rounding error of its sum, |sum amp| <= n eps sum |amp|
+    (PathDecomposition.rounding): below that bound its phase and size are
+    noise.  The result is invariant under rescaling either state and is
+    linear in the observable; for a single contributing path it reduces to
+    that path's eigenvalue.
     """
     if decomposition.space != observable.space:
         raise DimensionMismatch("observable lives over a different space than the transition")
-    amps = decomposition.amplitudes
     total = decomposition.total_amplitude
-    if abs(total) <= amps.size * np.finfo(float).eps * float(np.abs(amps).sum()):
+    if abs(total) <= decomposition.rounding:
         raise WeakValueUndefined("total transition amplitude is zero to within rounding")
-    numerator = complex(np.sum(observable.eigenvalues * amps))
+    numerator = complex(np.sum(observable.eigenvalues * decomposition.amplitudes))
     return WeakValueResult(numerator / total)
 
 

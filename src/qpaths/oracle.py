@@ -14,15 +14,15 @@ reports a pass/fail line per comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import MeterStatisticsUndefined
-from .measurement import build_network
+from .measurement import PathwayNetwork, _weight_vanishes, build_network
 from .meter import MeterModel, mean_reading, reading_amplitude, scaled_widths
 from .pathsum import PathDecomposition, decompose
-from .statespace import DiagonalObservable, KetState
+from .statespace import DiagonalObservable, KetState, _power_of_two_scaled
 
 GRID_POINTS = 2 ** 14
 GRID_PADDING = 8.0
@@ -52,16 +52,19 @@ def grid_mean_reading(decomposition: PathDecomposition,
     """Mean pointer reading by trapezoid integration of the pointer density.
 
     The uniform grid covers every shifted pointer packet out to eight
-    widths on each side.
+    widths on each side.  The path amplitudes are scaled by a power of two
+    first, so the density cannot underflow; undefined when _weight_vanishes.
     """
     if points < 4096:
         raise ValueError("reading grid needs at least 4096 points")
+    amplitudes, _ = _power_of_two_scaled(decomposition.amplitudes, decomposition.rounding)
+    dec = replace(decomposition, amplitudes=amplitudes)
     pad = GRID_PADDING * meter.width
     x = np.linspace(float(observable.eigenvalues.min()) - pad,
                     float(observable.eigenvalues.max()) + pad, points)
-    density = np.abs(reading_amplitude(decomposition, observable, meter, x)) ** 2
+    density = np.abs(reading_amplitude(dec, observable, meter, x)) ** 2
     weight = float(np.trapezoid(density, x))
-    if not (weight > 1e-300):
+    if _weight_vanishes(weight, PathwayNetwork.of(dec, observable).amplitudes, dec.rounding):
         raise MeterStatisticsUndefined(
             "post-selection succeeds with probability zero; no reading distribution")
     return float(np.trapezoid(x * density, x) / weight)

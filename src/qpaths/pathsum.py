@@ -13,6 +13,7 @@ meters, and weak values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -37,6 +38,11 @@ class PathDecomposition:
     def total_amplitude(self) -> complex:
         """<f|i>: coherent sum over all paths."""
         return complex(self.amplitudes.sum())
+
+    @cached_property
+    def rounding(self) -> float:
+        """n eps sum_n |amp(n)|: bounds the rounding error of any sum of the amplitudes."""
+        return float(self.amplitudes.size * np.finfo(float).eps * np.abs(self.amplitudes).sum())
 
     def __repr__(self) -> str:
         amps = ", ".join(f"{a:.6g}" for a in self.amplitudes)

@@ -375,14 +375,22 @@ def _query_error(q: QueryDirective, key: str, message: str) -> ScenarioParseErro
     return ScenarioParseError(message, q.line, col)
 
 
-def _positive_float(q: QueryDirective, key: str, text: str) -> float:
+def _positive_number(text: str, key: str = "width") -> float:
     try:
         value = float(text)
     except ValueError:
-        raise _query_error(q, key, f"{key} must be a number, got {text!r}") from None
+        raise ValueError(f"{key} must be a number, got {text!r}") from None
     if not (value > 0.0 and math.isfinite(value)):
-        raise _query_error(q, key, f"{key} must be positive and finite, got {text!r}")
+        raise ValueError(f"{key} must be positive and finite, got {text!r}")
     return value
+
+
+def _width_list(text: str) -> tuple[float, ...]:
+    """Meter widths (scan queries, --widths): positive numbers, comma-separated."""
+    parts = [p for p in text.split(",") if p]
+    if not parts:
+        raise ValueError("widths must be a comma-separated list")
+    return tuple(_positive_number(part, "widths") for part in parts)
 
 
 def _check_query(q: QueryDirective, finals: dict[str, KetState],
@@ -415,15 +423,11 @@ def _check_query(q: QueryDirective, finals: dict[str, KetState],
             raise _query_error(q, "obs",
                                "observable has zero eigenvalue spread; "
                                "meter widths have no scale")
-    if q.kind == "mean-reading":
-        _positive_float(q, "width", q.argument("width"))
-    if q.kind == "scan":
-        text = q.argument("widths")
-        parts = [p for p in text.split(",") if p]
-        if not parts:
-            raise _query_error(q, "widths", "widths must be a comma-separated list")
-        for part in parts:
-            _positive_float(q, "widths", part)
+        key = QUERY_ARGS[q.kind][-1]
+        try:
+            (_width_list if key == "widths" else _positive_number)(q.argument(key))
+        except ValueError as exc:
+            raise _query_error(q, key, str(exc)) from None
     if q.kind in ("sum-rule", "product-rule"):
         first = observables[q.argument("obs")]
         second = observables[q.argument("obs2")]
@@ -446,7 +450,7 @@ def validate(doc: ScenarioDocument) -> Scenario:
         arr = np.asarray(vec, dtype=complex)
         nrm = vector_norm(arr)
         line, col = doc.positions.get(("state", name), (1, 1))
-        if nrm <= 1e-12:
+        if nrm == 0.0:
             raise ScenarioParseError(f"state {name!r} has zero norm", line, col)
         if abs(nrm - 1.0) > 1e-9:
             notes.append(f"state {name!r} renormalized (declared norm {nrm:.12g})")

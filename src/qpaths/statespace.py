@@ -20,35 +20,37 @@ from .errors import DimensionMismatch, ZeroStateError
 ATOL = 1e-12
 
 
-def vector_norm(values: np.ndarray) -> float:
-    """Euclidean norm, with no overflow or underflow on the way.
+def _power_of_two_scaled(values: np.ndarray, floor: float = 0.0) -> tuple[np.ndarray, int]:
+    """(values * 2**-e, e), exact, with the larger of floor and the largest real or
+    imaginary part scaled into [1, 2), so 2**e is a float; (values, 0) when that is
+    0 or not finite.  values is real or contiguous complex."""
+    parts = values.view(float)
+    largest = max(float(np.max(np.abs(parts), initial=0.0)), floor)
+    if not 0.0 < largest < math.inf:
+        return values, 0
+    e = math.frexp(largest)[1] - 1
+    return np.ldexp(parts, -e).view(values.dtype), e
 
-    The vector is first divided by the power of two at its largest real
-    or imaginary part.  That division is exact, so wherever
-    np.linalg.norm stays in the float range both agree to the bit.  The
-    result is inf only when the norm itself exceeds the largest float.
+
+def vector_norm(values: np.ndarray) -> float:
+    """Euclidean norm of a contiguous complex vector, with no overflow or underflow.
+
+    Taken after an exact power-of-two scaling, so it agrees to the bit with np.linalg.norm
+    wherever that stays in the float range; inf only when the norm exceeds the largest float.
     """
-    largest = float(max(np.max(np.abs(values.real), initial=0.0),
-                        np.max(np.abs(values.imag), initial=0.0)))
-    if not 0.0 < largest < np.inf:
-        return largest
-    # a subnormal scale would overflow inside complex division; 2**-1022 is exact too
-    scale = math.ldexp(1.0, max(math.frexp(largest)[1] - 1, -1022))
-    return scale * float(np.linalg.norm(values / scale))
+    scaled, e = _power_of_two_scaled(values)
+    return float(np.linalg.norm(scaled)) * math.ldexp(1.0, e)
 
 
 def unit_scaled(values: np.ndarray, norm: float) -> np.ndarray:
     """The values divided by their vector_norm, which the caller passes in.
 
-    A norm past the float range (finite entries) is taken again after an
-    exact scaling by 2**-512.  Values within ATOL of unit length are
-    returned as they are.
+    Values within ATOL of unit length are returned as they are; others are
+    first scaled by a power of two, so that no step leaves the float range.
     """
-    if norm == np.inf:
-        values = values * 2.0 ** -512
-        norm = vector_norm(values)
     if abs(norm - 1.0) > ATOL:
-        values = values / norm
+        values = _power_of_two_scaled(values)[0]
+        values = values / np.linalg.norm(values)
     return values
 
 
@@ -129,7 +131,7 @@ class KetState:
                 f"state has {arr.size} amplitudes, space has dimension {space.dimension}")
         if normalize:
             nrm = vector_norm(arr)
-            if nrm <= ATOL:
+            if nrm == 0.0:
                 raise ZeroStateError("cannot normalize a zero state")
             arr = _frozen_array(unit_scaled(arr, nrm), complex)
         object.__setattr__(self, "space", space)

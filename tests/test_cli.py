@@ -401,3 +401,23 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("widths, message", [
+    ("inf", "widths must be positive and finite, got 'inf'"),
+    ("1,nan", "widths must be positive and finite, got 'nan'"),
+    ("1,x", "widths must be a number, got 'x'"),
+    (",", "widths must be a comma-separated list"),
+])
+def test_widths_are_parsed_as_a_scan_query_parses_them(tmp_path, capsys, widths, message):
+    # the same grammar and message on the command line as in a .scn file
+    with pytest.raises(SystemExit) as err:
+        main(["sweep-width", "--final", "f", "--obs", "N(1-|1+)", "--widths", widths])
+    assert err.value.code == 2
+    assert f"argument --widths: {message}" in capsys.readouterr().err
+    target = tmp_path / "widths.scn"
+    target.write_text("dimension = 2\nbasis = a b\nstate i = 1 1\nstate f = 1 0\n"
+                      f"observable A = 1 0\nquery scan final=f obs=A widths={widths}\n",
+                      encoding="utf-8")
+    assert main(["run", str(target)]) == 2
+    assert message in capsys.readouterr().err

@@ -56,9 +56,10 @@ def test_classes_partition_and_order():
     net = build_network(KetState(space, [1, 1, 1, 1]),
                         KetState(space, [1, 1, -1, 1]), obs)
     assert class_values(net) == (2.0, 0.0, -1.0)
-    assert net.class_for(2.0).members == (0, 2)
-    with pytest.raises(KeyError):
-        net.class_for(7.0)
+    assert [c.members for c in net.classes] == [(0, 2), (3,), (1,)]
+    # a reading that no path carries has joint probability zero
+    assert net.probability_of(7.0) == 0.0
+    assert net.probability_of(2.0) == net.classes[0].probability == 0.0
 
 
 def test_signed_zero_eigenvalues_form_one_class():
@@ -66,7 +67,8 @@ def test_signed_zero_eigenvalues_form_one_class():
     obs = DiagonalObservable(space, [-0.0, 1.0, 0.0])
     net = build_network(KetState(space, [1, 1, 1]), KetState(space, [1, 2, 3]), obs)
     assert class_values(net) == (1.0, 0.0)
-    zero = net.class_for(0.0)
+    zero = net.classes[1]
+    assert net.probability_of(-0.0) == net.probability_of(0.0) == zero.probability
     assert zero.members == (0, 2)
     assert zero.multiplicity == 2
     assert zero.amplitude == pytest.approx(4.0 / 42 ** 0.5, abs=1e-15)
@@ -89,6 +91,22 @@ def test_network_amplitudes_are_read_only_class_sums():
         net.amplitudes[0] = 0.0
     assert net.classes is net.classes
     assert [c.amplitude for c in net.classes] == net.amplitudes.tolist()
+
+
+def test_conditional_distribution_divides_by_the_perturbed_probability():
+    # 13 classes: an array sum and a left-to-right one can differ in the last bit
+    rng = np.random.default_rng(7)
+    space = StateSpace.of_dimension(40)
+    net = build_network(KetState(space, rng.normal(size=40) + 1j * rng.normal(size=40)),
+                        KetState(space, rng.normal(size=40) + 1j * rng.normal(size=40)),
+                        DiagonalObservable(space, rng.integers(-6, 7, size=40) * 0.5))
+    assert len(net.classes) == 13
+    dist = conditional_reading_distribution(net)
+    assert list(dist) == [c.eigenvalue for c in net.classes]
+    assert list(dist.values()) == [c.probability / net.perturbed_probability
+                                   for c in net.classes]
+    assert [net.probability_of(c.eigenvalue) for c in net.classes] == \
+        [c.probability for c in net.classes]
 
 
 @pytest.mark.parametrize("call", [

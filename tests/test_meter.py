@@ -86,6 +86,9 @@ def test_mean_reading_defined_for_amplitudes_whose_squares_underflow():
     dec = decompose(KetState(space, [0, 0, 1]), KetState(space, [0, 1, 2.52754399e-161]))
     assert mean_reading(dec, DiagonalObservable(space, [-1.0, -1.0, -1.0]),
                         MeterModel(1.0)) == -1.0
+    # the grid oracle scales the path amplitudes, so its density does not underflow either
+    assert grid_mean_reading(dec, DiagonalObservable(space, [-1.0, -1.0, -1.0]),
+                             MeterModel(1.0)) == -1.0
     # <x> is invariant under scaling either state, down to the bottom of the float range
     rng = np.random.default_rng(5)
     u = rng.normal(size=3) + 1j * rng.normal(size=3)

@@ -213,6 +213,14 @@ def test_error_zero_norm_state():
     expect_error(text, 3, 7, "zero norm")
 
 
+def test_only_an_exactly_zero_state_has_zero_norm():
+    text = ("dimension = 2\nbasis = a b\nstate i = 1 0\nstate f = 1e-13 3e-13\n"
+            "query probabilities\n")
+    sc = validate(parse(text))
+    assert sc.final("f").amplitudes == pytest.approx([0.1 ** 0.5, 0.9 ** 0.5], rel=1e-15)
+    assert sc.notes == ("state 'f' renormalized (declared norm 3.16227766017e-13)",)
+
+
 def test_validation_notes_for_renormalization_and_overlap():
     text = ("dimension = 2\nbasis = a b\nstate i = 2 0\nstate f = 1 0\n"
             "state g = 1 1\nquery probabilities\n")
