@@ -23,7 +23,7 @@ from .measurement import (build_network, conditional_reading_distribution,
 from .meter import MeterModel, mean_reading, scaled_widths, weak_value
 from .oracle import verification_checks
 from .pathsum import amplitude_table, decompose
-from .scenario_io import QUERY_ARGS, QueryDirective, _width_list, load_path, validate
+from .scenario_io import QUERY_ARGS, QUERY_VALUE_TYPES, QueryDirective, load_path, validate
 from .scenarios import Scenario, built_in, epsilon_grid, hardy_epsilon
 
 
@@ -300,7 +300,7 @@ def scan_epsilon_table(obs_name: str, final_name: str, start: float,
 
 def _ratio_list(text: str) -> tuple[float, ...]:
     try:
-        return _width_list(text)
+        return QUERY_VALUE_TYPES["widths"](text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -315,12 +315,11 @@ QUERY_TABLES = {
     "sum-rule": sum_rule_table,
     "product-rule": product_rule_table,
 }
-_QUERY_VALUE_TYPES = {"width": float, "widths": _width_list}
 
 
 def execute_query(scenario: Scenario, q: QueryDirective) -> Table:
     """The kind's table, called with the query's arguments in QUERY_ARGS order."""
-    values = (_QUERY_VALUE_TYPES.get(key, str)(q.argument(key))
+    values = (QUERY_VALUE_TYPES.get(key, str)(q.argument(key))
               for key in QUERY_ARGS[q.kind])
     return QUERY_TABLES[q.kind](scenario, *values)
 
@@ -352,19 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(handler=_cmd_table2)
 
-    p = sub.add_parser("network", help="pathway classes for one final and observable")
-    add_scenario(p)
-    p.add_argument("--final", required=True)
-    p.add_argument("--obs", required=True)
-    add_format(p)
-    p.set_defaults(handler=_cmd_network)
-
-    p = sub.add_parser("weak", help="weak value for one final and observable")
-    add_scenario(p)
-    p.add_argument("--final", required=True)
-    p.add_argument("--obs", required=True)
-    add_format(p)
-    p.set_defaults(handler=_cmd_weak)
+    # network, weak and sweep-width run their query kind's table, as a .scn query does
+    for kind, what in (("network", "pathway classes"), ("weak", "weak value")):
+        p = sub.add_parser(kind, help=f"{what} for one final and observable")
+        add_scenario(p)
+        p.add_argument("--final", required=True)
+        p.add_argument("--obs", required=True)
+        add_format(p)
+        p.set_defaults(handler=_cmd_query, kind=kind)
 
     p = sub.add_parser("scan-epsilon",
                        help="weak value versus epsilon in the hardy-epsilon family")
@@ -384,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--widths", type=_ratio_list, default=(1.0, 10.0, 100.0),
                    help="comma-separated width ratios (default 1,10,100)")
     add_format(p)
-    p.set_defaults(handler=_cmd_sweep_width)
+    p.set_defaults(handler=_cmd_query, kind="scan")
 
     p = sub.add_parser("verify", help="cross-check both computation routes")
     add_format(p)
@@ -398,10 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario_from_args(args) -> Scenario:
-    return built_in(args.scenario, beta=args.beta, epsilon=args.epsilon)
-
-
 def _cmd_table1(args):
     return [amplitudes_table(built_in("hardy"))], 0
 
@@ -410,22 +400,15 @@ def _cmd_table2(args):
     return [table2_table(built_in("hardy"))], 0
 
 
-def _cmd_network(args):
-    return [network_table(_scenario_from_args(args), args.final, args.obs)], 0
-
-
-def _cmd_weak(args):
-    return [weak_table(_scenario_from_args(args), args.final, args.obs)], 0
+def _cmd_query(args):
+    scenario = built_in(args.scenario, beta=args.beta, epsilon=args.epsilon)
+    values = (getattr(args, key) for key in QUERY_ARGS[args.kind])
+    return [QUERY_TABLES[args.kind](scenario, *values)], 0
 
 
 def _cmd_scan_epsilon(args):
     return [scan_epsilon_table(args.obs, args.final, args.eps_from,
                                args.eps_to, args.steps)], 0
-
-
-def _cmd_sweep_width(args):
-    return [width_sweep_table(_scenario_from_args(args), args.final, args.obs,
-                              tuple(args.widths))], 0
 
 
 def _cmd_verify(args):

@@ -51,8 +51,9 @@ class PathwayNetwork:
     amplitudes holds the coherent sum A_a of the path amplitudes in each
     eigenvalue class, read-only, in the order of observable.classes.values
     (DiagonalObservable.classes: the distinct eigenvalues largest first,
-    grouped exactly, with 0.0 and -0.0 one class).  Build one with
-    PathwayNetwork.of.
+    grouped exactly, with 0.0 and -0.0 one class); scaled holds them and rho
+    at one exact power-of-two scale, where vanishes decides "undefined".
+    Build one with PathwayNetwork.of.
     """
 
     decomposition: PathDecomposition
@@ -92,6 +93,25 @@ class PathwayNetwork:
     def perturbed_probability(self) -> float:
         return float((np.hypot(self.amplitudes.real, self.amplitudes.imag) ** 2).sum())
 
+    @cached_property
+    def scaled(self) -> tuple[np.ndarray, float, int]:
+        """(A * 2**-e, rho * 2**-e, e), exact, with the larger of rho and the largest real
+        or imaginary part of A scaled into [1, 2); the array is read-only.  A ratio of
+        quadratic forms in A keeps every bit at this scale, and no form overflows."""
+        rounding = self.decomposition.rounding
+        amplitudes, e = _power_of_two_scaled(self.amplitudes, rounding)
+        amplitudes.setflags(write=False)
+        return amplitudes, math.ldexp(rounding, -e), e
+
+    def vanishes(self, weight: float) -> bool:
+        """The one rule for "undefined" (the meter module docstring derives it): a weight
+        W at the scale of scaled counts as zero when W <= 2 rho S + rho^2 + 6 k eps S^2 or
+        is nan, with rho, S = sum_a |A_a| and k = A.size at that scale."""
+        amplitudes, rounding, _ = self.scaled
+        s = float(np.abs(amplitudes).sum())
+        return not weight > (2.0 * rounding * s + rounding * rounding
+                             + 6.0 * amplitudes.size * float(np.finfo(float).eps) * s * s)
+
 
 def build_network(initial: KetState, final: KetState,
                   observable: DiagonalObservable) -> PathwayNetwork:
@@ -103,27 +123,17 @@ def build_network(initial: KetState, final: KetState,
     return PathwayNetwork.of(decompose(initial, final), observable)
 
 
-def _weight_vanishes(weight: float, amplitudes: np.ndarray, rounding: float) -> bool:
-    """The one rule for "undefined" (the meter module docstring derives it): W = weight
-    counts as zero when W <= 2 rho S + rho^2 + 6 k eps S^2 or is nan, with rho = rounding,
-    S = sum_a |A_a| and k = A.size for A = amplitudes, all at one power-of-two scale."""
-    s = float(np.abs(amplitudes).sum())
-    return not weight > (2.0 * rounding * s + rounding * rounding
-                         + 6.0 * amplitudes.size * float(np.finfo(float).eps) * s * s)
-
-
 def conditional_reading_distribution(network: PathwayNetwork) -> dict[float, float]:
     """Distribution of the reading given that the post-selection succeeded.
 
     Raises PostSelectionImpossible when the post-selection probability
-    sum_a |A_a|^2 is zero to within rounding (_weight_vanishes, K = I).
+    sum_a |A_a|^2 is zero to within rounding (PathwayNetwork.vanishes, K = I).
     """
-    rounding = network.decomposition.rounding
-    amplitudes, e = _power_of_two_scaled(network.amplitudes, rounding)
+    amplitudes = network.scaled[0]
     # np.hypot rounds as abs(complex) does; np.abs of complex can differ in the last bit
     probabilities = np.hypot(amplitudes.real, amplitudes.imag) ** 2
     total = probabilities.sum()
-    if _weight_vanishes(float(total), amplitudes, math.ldexp(rounding, -e)):
+    if network.vanishes(float(total)):
         raise PostSelectionImpossible(
             "post-selection has probability zero after this measurement")
     return dict(zip(network.observable.classes.values.tolist(),

@@ -69,12 +69,12 @@ K_ab is off by at most 4u (the 5u relative error of its argument x, times
 |x| e^x <= 1/e, plus exp's rounding): (2k + 6) u S^2 <= c k eps S^2, c = 6.
 The wide kernel's 2k + 12 roundings and 44u factor error, against entries
 summing to at most e^(1/16), fit too.  So W counts as zero when
-W <= 2 rho S + rho^2 + 6 k eps S^2 (measurement._weight_vanishes).
+W <= 2 rho S + rho^2 + 6 k eps S^2 (PathwayNetwork.vanishes, with W, A and rho
+at the one exact power-of-two scale of PathwayNetwork.scaled).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -83,9 +83,9 @@ import numpy as np
 
 from .errors import (DimensionMismatch, MeterStatisticsUndefined,
                      WeakValueUndefined)
-from .measurement import PathwayNetwork, _weight_vanishes
+from .measurement import PathwayNetwork
 from .pathsum import PathDecomposition
-from .statespace import DiagonalObservable, _power_of_two_scaled
+from .statespace import DiagonalObservable
 
 # classes per block: a mean reading forms K one pair of blocks at a time,
 # and a reading amplitude forms the pointer sum one block of terms at a time
@@ -176,19 +176,18 @@ def mean_reading(decomposition: PathDecomposition,
                  observable: DiagonalObservable,
                  meter: MeterModel) -> float:
     """Mean pointer reading, in closed form via the class overlap kernel; undefined
-    (raises) when its weight sum_a R_a is zero to within rounding (_weight_vanishes)."""
+    (raises) when its weight sum_a R_a is zero to within rounding (PathwayNetwork.vanishes)."""
     network = PathwayNetwork.of(decomposition, observable)
     values = observable.classes.values
-    # <x> is a ratio of quadratic forms in A, so an exact scale keeps every bit of it
-    amplitudes, e = _power_of_two_scaled(network.amplitudes, decomposition.rounding)
-    parts = amplitudes.view(float).reshape(-1, 2)
+    # <x> is a ratio of quadratic forms in A, so the record's exact scale keeps every bit
+    parts = network.scaled[0].view(float).reshape(-1, 2)
     spread = observable.spread
     if values.size > BLOCK_ROWS and meter.width >= spread:
         rows = _wide_rows(values, parts, meter.width, spread)
     else:
         rows = _blocked_rows(values, parts, meter.width)
     denominator = float(rows.sum())
-    if _weight_vanishes(denominator, amplitudes, math.ldexp(decomposition.rounding, -e)):
+    if network.vanishes(denominator):
         raise MeterStatisticsUndefined(
             "post-selection succeeds with probability zero; no reading distribution")
     return float(values @ rows / denominator)

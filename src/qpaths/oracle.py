@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import MeterStatisticsUndefined
-from .measurement import PathwayNetwork, _weight_vanishes, build_network
+from .measurement import PathwayNetwork, build_network
 from .meter import MeterModel, mean_reading, reading_amplitude, scaled_widths
 from .pathsum import PathDecomposition, decompose
-from .statespace import DiagonalObservable, KetState, _power_of_two_scaled
+from .statespace import DiagonalObservable, KetState
 
 GRID_POINTS = 2 ** 14
 GRID_PADDING = 8.0
@@ -52,19 +52,22 @@ def grid_mean_reading(decomposition: PathDecomposition,
     """Mean pointer reading by trapezoid integration of the pointer density.
 
     The uniform grid covers every shifted pointer packet out to eight
-    widths on each side.  The path amplitudes are scaled by a power of two
-    first, so the density cannot underflow; undefined when _weight_vanishes.
+    widths on each side.  The path amplitudes are first scaled by 2**-e, e the
+    exponent of PathwayNetwork.scaled, so the density cannot underflow; each
+    is then below 2/(n eps), as |amp(n)| <= rho/(n eps) and 2**e >= rho/2.
+    Undefined when PathwayNetwork.vanishes.
     """
     if points < 4096:
         raise ValueError("reading grid needs at least 4096 points")
-    amplitudes, _ = _power_of_two_scaled(decomposition.amplitudes, decomposition.rounding)
-    dec = replace(decomposition, amplitudes=amplitudes)
+    network = PathwayNetwork.of(decomposition, observable)
+    paths = np.ldexp(decomposition.amplitudes.view(float), -network.scaled[2])
+    dec = replace(decomposition, amplitudes=paths.view(complex))
     pad = GRID_PADDING * meter.width
     x = np.linspace(float(observable.eigenvalues.min()) - pad,
                     float(observable.eigenvalues.max()) + pad, points)
     density = np.abs(reading_amplitude(dec, observable, meter, x)) ** 2
     weight = float(np.trapezoid(density, x))
-    if _weight_vanishes(weight, PathwayNetwork.of(dec, observable).amplitudes, dec.rounding):
+    if network.vanishes(weight):
         raise MeterStatisticsUndefined(
             "post-selection succeeds with probability zero; no reading distribution")
     return float(np.trapezoid(x * density, x) / weight)

@@ -86,9 +86,6 @@ def amplitude_table(initial: KetState, finals: Mapping[str, KetState]) -> Amplit
     """
     names = tuple(finals.keys())
     states = [finals[name] for name in names]
-    for st in states:
-        if st.space != initial.space:
-            raise DimensionMismatch("final states must share the initial state's space")
     columns = [decompose(initial, st).amplitudes for st in states]
     values = np.column_stack(columns) if columns else np.zeros((initial.dimension, 0), complex)
     values.setflags(write=False)

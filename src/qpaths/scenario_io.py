@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScenarioParseError
-from .statespace import (DiagonalObservable, KetState, StateSpace, overlapping_pairs,
-                         unit_scaled, vector_norm)
+from .statespace import (ATOL, DiagonalObservable, KetState, StateSpace,
+                         overlapping_pairs, unit_scaled, vector_norm)
 from .scenarios import RESERVED_NAMES, Scenario
 
 QUERY_ARGS: dict[str, tuple[str, ...]] = {
@@ -393,6 +393,10 @@ def _width_list(text: str) -> tuple[float, ...]:
     return tuple(_positive_number(part, "widths") for part in parts)
 
 
+# converters of the query values that are not names; each raises ValueError
+QUERY_VALUE_TYPES = {"width": _positive_number, "widths": _width_list}
+
+
 def _check_query(q: QueryDirective, finals: dict[str, KetState],
                  observables: dict[str, DiagonalObservable]) -> None:
     required = QUERY_ARGS[q.kind]
@@ -425,7 +429,7 @@ def _check_query(q: QueryDirective, finals: dict[str, KetState],
                                "meter widths have no scale")
         key = QUERY_ARGS[q.kind][-1]
         try:
-            (_width_list if key == "widths" else _positive_number)(q.argument(key))
+            QUERY_VALUE_TYPES[key](q.argument(key))
         except ValueError as exc:
             raise _query_error(q, key, str(exc)) from None
     if q.kind in ("sum-rule", "product-rule"):
@@ -452,7 +456,7 @@ def validate(doc: ScenarioDocument) -> Scenario:
         line, col = doc.positions.get(("state", name), (1, 1))
         if nrm == 0.0:
             raise ScenarioParseError(f"state {name!r} has zero norm", line, col)
-        if abs(nrm - 1.0) > 1e-9:
+        if abs(nrm - 1.0) > ATOL:  # exactly when unit_scaled rescales
             notes.append(f"state {name!r} renormalized (declared norm {nrm:.12g})")
         return KetState(space, unit_scaled(arr, nrm), normalize=False)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from qpaths import (DiagonalObservable, DimensionMismatch, KetState, MeterModel,
                     NonProjectorError, PathwayNetwork, PostSelectionImpossible,
                     StateSpace, all_outcomes_probability, build_network,
                     certain_reading, conditional_reading_distribution, decompose,
-                    hardy, mean_reading, product_rule_report, reading_amplitude,
+                    fourier_basis, hardy, mean_reading, product_rule_report, reading_amplitude,
                     sum_rule_report, three_box, weak_value)
 
 
@@ -91,6 +93,40 @@ def test_network_amplitudes_are_read_only_class_sums():
         net.amplitudes[0] = 0.0
     assert net.classes is net.classes
     assert [c.amplitude for c in net.classes] == net.amplitudes.tolist()
+
+
+def assert_scaled_by_a_power_of_two(net):
+    amplitudes, rounding, e = net.scaled
+    assert net.scaled is net.scaled
+    assert not amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        amplitudes[0] = 0.0
+    assert np.array_equal(np.ldexp(amplitudes.view(float), e).view(complex), net.amplitudes)
+    assert rounding == math.ldexp(net.decomposition.rounding, -e)
+    assert 1.0 <= max(float(np.abs(amplitudes.view(float)).max()), rounding) < 2.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -900, 3e-200, 2.0 ** 500])
+def test_network_holds_its_class_sums_at_one_power_of_two_scale(scale):
+    rng = np.random.default_rng(11)
+    space = StateSpace.of_dimension(40)
+    final = scale * (rng.normal(size=40) + 1j * rng.normal(size=40))
+    dec = decompose(KetState(space, rng.normal(size=40) + 1j * rng.normal(size=40)),
+                    KetState(space, final, normalize=False))
+    net = PathwayNetwork.of(dec, DiagonalObservable(space, rng.integers(-3, 4, size=40)))
+    assert_scaled_by_a_power_of_two(net)
+
+
+def test_rounding_sets_the_scale_of_class_sums_that_are_noise():
+    # every class sum is zero in exact arithmetic and rounding noise as computed
+    space = StateSpace.of_dimension(6)
+    dec = decompose(KetState(space, np.ones(6)), fourier_basis(space)[3])
+    net = PathwayNetwork.of(dec, DiagonalObservable(space, [0, 1, 2, 0, 1, 2]))
+    assert_scaled_by_a_power_of_two(net)
+    amplitudes, rounding, _ = net.scaled
+    assert 0.0 < np.abs(amplitudes.view(float)).max() < rounding
+    assert net.vanishes(float((np.abs(amplitudes) ** 2).sum()))
+    assert net.vanishes(math.nan)
 
 
 def test_conditional_distribution_divides_by_the_perturbed_probability():

@@ -9,9 +9,9 @@ from _invariants import blocked_mean_reading, dense_mean_reading, dense_reading_
 from qpaths import (DiagonalObservable, KetState, MeterModel,
                     MeterStatisticsUndefined, StateSpace, WeakValueUndefined,
                     build_network, conditional_reading_distribution, decompose,
-                    fourier_basis, grid_mean_reading, hardy, mean_reading,
-                    reading_amplitude, scaled_widths, three_box,
-                    weak_limit_convergence, weak_value)
+                    epsilon_grid, fourier_basis, grid_mean_reading, hardy,
+                    hardy_epsilon, mean_reading, reading_amplitude, scaled_widths,
+                    three_box, weak_limit_convergence, weak_value)
 from qpaths.measurement import PathwayNetwork
 from qpaths.meter import BLOCK_ROWS, WIDE_RANK
 from qpaths.oracle import MEAN_READING_TOL, WIDTH_RATIOS
@@ -119,6 +119,22 @@ def test_weak_values_for_hardy_f():
     assert values["N(1-|2+)"] == 1.0
     assert values["N(2-|1+)"] == 1.0
     assert values["N(2-|2+)"] == 0.0
+
+
+@pytest.mark.parametrize("obs_name, closed_form", [
+    ("N(1-|1+)", lambda eps: -1.0 / eps),
+    ("N(1+)", lambda eps: 1.0 - 1.0 / eps),
+])
+def test_hardy_epsilon_weak_values_keep_path_level_accuracy(obs_name, closed_form):
+    # the ratio of path sums is good to about 2e-16 here; the class form
+    # sum_a a A_a / sum_a A_a is equal in exact arithmetic, but its error
+    # reaches 7.5e-11 relative at epsilon = 1e-6, where |<f|i>| is tiny
+    for eps in epsilon_grid(1e-6, 1.0, 13):
+        sc = hardy_epsilon(eps)
+        dec = decompose(sc.initial, sc.final("f"))
+        expected = closed_form(eps)
+        got = weak_value(dec, sc.observable(obs_name)).reported
+        assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected)), eps
 
 
 def test_weak_value_is_complex_in_general():

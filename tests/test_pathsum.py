@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _invariants import transition_probability
-from qpaths import KetState, StateSpace, amplitude_table, decompose, hardy
+from qpaths import DimensionMismatch, KetState, StateSpace, amplitude_table, decompose, hardy
 
 
 def test_path_amplitudes_for_hardy_f():
@@ -63,3 +63,11 @@ def test_conjugation_matters_for_complex_finals():
     initial = KetState(space, [1.0, 0.0], normalize=False)
     final = KetState(space, [1j, 0.0], normalize=False)
     assert decompose(initial, final).amplitudes[0] == -1j
+
+
+def test_amplitude_table_rejects_a_final_over_another_space():
+    sc = hardy()
+    other = StateSpace.of_dimension(5)
+    finals = {"f": sc.final("f"), "g": other.basis_state(0)}
+    with pytest.raises(DimensionMismatch, match="different spaces"):
+        amplitude_table(sc.initial, finals)

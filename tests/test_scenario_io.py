@@ -221,6 +221,16 @@ def test_only_an_exactly_zero_state_has_zero_norm():
     assert sc.notes == ("state 'f' renormalized (declared norm 3.16227766017e-13)",)
 
 
+def test_every_rescaled_state_has_a_note():
+    # the norm is 1 + 1.9e-11: beyond statespace.ATOL, so unit_scaled rescales it
+    text = ("dimension = 2\nbasis = a b\nstate i = 0.7071067812 0.7071067812\n"
+            "state f = 1 0\nquery probabilities\n")
+    sc = validate(parse(text))
+    declared = np.array([0.7071067812, 0.7071067812], dtype=complex)
+    assert not np.array_equal(sc.initial.amplitudes, declared)
+    assert sc.notes == ("state 'i' renormalized (declared norm 1.00000000002)",)
+
+
 def test_validation_notes_for_renormalization_and_overlap():
     text = ("dimension = 2\nbasis = a b\nstate i = 2 0\nstate f = 1 0\n"
             "state g = 1 1\nquery probabilities\n")
