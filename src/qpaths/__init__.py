@@ -15,7 +15,7 @@ from .errors import (DimensionMismatch, MeterStatisticsUndefined,
                      ZeroStateError)
 from .statespace import (DiagonalObservable, KetState, StateSpace, expectation,
                          fourier_basis)
-from .pathsum import AmplitudeTable, PathDecomposition, amplitude_table, decompose
+from .pathsum import PathDecomposition, amplitude_table, decompose
 from .measurement import (PathwayClass, PathwayNetwork, ProductRuleReport,
                           SumRuleReport, all_outcomes_probability,
                           build_network, certain_reading,
@@ -34,7 +34,7 @@ from .scenario_io import (QueryDirective, ScenarioDocument, load_path, parse,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeTable", "CheckResult", "DiagonalObservable",
+    "CheckResult", "DiagonalObservable",
     "DimensionMismatch", "KetState", "MeterModel", "MeterStatisticsUndefined",
     "NonProjectorError", "PathDecomposition",
     "PathwayClass", "PathwayNetwork", "PostSelectionImpossible",

@@ -149,12 +149,12 @@ def emit(fmt: str, tables: list[Table], out: TextIO) -> None:
 
 
 def amplitudes_table(scenario: Scenario) -> Table:
-    table = amplitude_table(scenario.initial, dict(scenario.finals))
+    values = amplitude_table(scenario.initial, scenario.finals)
     rows = []
-    for k, label in enumerate(table.path_labels):
-        rows.append((label, *[complex(v) for v in table.values[k]]))
+    for k, label in enumerate(scenario.space.labels):
+        rows.append((label, *[complex(v) for v in values[k]]))
     return Table(title=f"path amplitudes ({scenario.name})",
-                 columns=("path", *table.final_names),
+                 columns=("path", *scenario.finals),
                  rows=tuple(rows))
 
 

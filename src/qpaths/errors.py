@@ -51,7 +51,7 @@ class UnknownNameError(QPathsError, KeyError):
         self.kind = kind
         self.name = name
         self.known = known
-        super().__init__(f"unknown {kind} {name!r}; known: {', '.join(known)}")
+        super().__init__(f"unknown {kind} {name!r}; known: {', '.join(known) or '(none)'}")
 
     def __str__(self) -> str:
         return self.args[0]

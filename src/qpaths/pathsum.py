@@ -58,35 +58,18 @@ def decompose(initial: KetState, final: KetState) -> PathDecomposition:
     return PathDecomposition(initial, final, amps)
 
 
-@dataclass(frozen=True, eq=False)
-class AmplitudeTable:
-    """Path amplitudes for one initial state against several final states.
+def amplitude_table(initial: KetState, finals: Mapping[str, KetState]) -> np.ndarray:
+    """The read-only n x J matrix of path amplitudes against a named family of finals.
 
-    values[n, j] is the amplitude through basis path n when post-selecting
-    on final state j.  Column sums are the transition amplitudes; their
-    squared magnitudes sum to 1 when the finals form a complete
-    orthonormal family.
+    Entry [n, j] is the amplitude through basis path n when post-selecting
+    on the j-th final, in the mapping's order.  Column sums are the
+    transition amplitudes; their squared magnitudes sum to 1 when the
+    finals form a complete orthonormal family.  The finals need not be
+    orthogonal.  Overlapping finals are not an error here:
+    scenario_io.validate reports them, as a note that the command line
+    prints as a `note:` line on stderr.
     """
-
-    space: StateSpace
-    final_names: tuple[str, ...]
-    values: np.ndarray
-
-    @property
-    def path_labels(self) -> tuple[str, ...]:
-        return self.space.labels
-
-
-def amplitude_table(initial: KetState, finals: Mapping[str, KetState]) -> AmplitudeTable:
-    """Tabulate path amplitudes against a named family of final states.
-
-    The finals need not be orthogonal.  Overlapping finals are not an
-    error here: scenario_io.validate reports them, as a note that the
-    command line prints as a `note:` line on stderr.
-    """
-    names = tuple(finals.keys())
-    states = [finals[name] for name in names]
-    columns = [decompose(initial, st).amplitudes for st in states]
+    columns = [decompose(initial, st).amplitudes for st in finals.values()]
     values = np.column_stack(columns) if columns else np.zeros((initial.dimension, 0), complex)
     values.setflags(write=False)
-    return AmplitudeTable(initial.space, names, values)
+    return values

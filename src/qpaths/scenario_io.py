@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScenarioParseError
-from .statespace import (ATOL, DiagonalObservable, KetState, StateSpace,
-                         overlapping_pairs, unit_scaled, vector_norm)
+from .errors import ScenarioParseError, UnknownNameError, ZeroStateError
+from .statespace import (DiagonalObservable, KetState, StateSpace,
+                         overlapping_pairs, unit_scaled)
 from .scenarios import RESERVED_NAMES, Scenario
 
 QUERY_ARGS: dict[str, tuple[str, ...]] = {
@@ -76,9 +76,10 @@ class ScenarioDocument:
     """Parsed scenario file, untouched by semantic validation.
 
     States and observables keep declaration order; the first declared
-    state is the initial one.  Source positions ride along for
-    diagnostics but do not take part in equality, so a serialized and
-    reparsed document compares equal to the original.
+    state is the initial one.  The source position of each state's name
+    rides along for the zero-norm diagnostic but does not take part in
+    equality, so a serialized and reparsed document compares equal to
+    the original.
     """
 
     name: str | None
@@ -301,8 +302,8 @@ def parse(text: str) -> ScenarioDocument:
                     f"expected {dimension} values for {item_name!r}, got {len(values)}",
                     lineno, kcol)
             seen_names[item_name] = lineno
-            positions[(keyword, item_name)] = (lineno, ncol)
             if keyword == "state":
+                positions[item_name] = (lineno, ncol)
                 vec = tuple(_parse_complex(tok, lineno, col) for tok, col in values)
                 states.append((item_name, vec))
             else:
@@ -397,8 +398,7 @@ def _width_list(text: str) -> tuple[float, ...]:
 QUERY_VALUE_TYPES = {"width": _positive_number, "widths": _width_list}
 
 
-def _check_query(q: QueryDirective, finals: dict[str, KetState],
-                 observables: dict[str, DiagonalObservable]) -> None:
+def _check_query(q: QueryDirective, scenario: Scenario) -> None:
     required = QUERY_ARGS[q.kind]
     keys = [k for k, _ in q.arguments]
     for key in keys:
@@ -408,21 +408,16 @@ def _check_query(q: QueryDirective, finals: dict[str, KetState],
         if key not in keys:
             raise ScenarioParseError(
                 f"query {q.kind!r} requires argument {key!r}", q.line, 1)
-    if "final" in keys:
-        fname = q.argument("final")
-        if fname not in finals:
-            raise _query_error(q, "final",
-                               f"unknown final state {fname!r}; "
-                               f"known: {', '.join(finals) or '(none)'}")
-    for key in ("obs", "obs2"):
+    named = {}
+    for key, lookup in (("final", scenario.final), ("obs", scenario.observable),
+                        ("obs2", scenario.observable)):
         if key in keys:
-            oname = q.argument(key)
-            if oname not in observables:
-                raise _query_error(q, key,
-                                   f"unknown observable {oname!r}; "
-                                   f"known: {', '.join(observables) or '(none)'}")
+            try:
+                named[key] = lookup(q.argument(key))
+            except UnknownNameError as exc:
+                raise _query_error(q, key, str(exc)) from None
     if q.kind in ("mean-reading", "scan"):
-        obs = observables[q.argument("obs")]
+        obs = named["obs"]
         if obs.spread <= 0.0:
             raise _query_error(q, "obs",
                                "observable has zero eigenvalue spread; "
@@ -433,8 +428,7 @@ def _check_query(q: QueryDirective, finals: dict[str, KetState],
         except ValueError as exc:
             raise _query_error(q, key, str(exc)) from None
     if q.kind in ("sum-rule", "product-rule"):
-        first = observables[q.argument("obs")]
-        second = observables[q.argument("obs2")]
+        first, second = named["obs"], named["obs2"]
         for key, obs in (("obs", first), ("obs2", second)):
             if not obs.is_projector:
                 raise _query_error(q, key,
@@ -452,13 +446,14 @@ def validate(doc: ScenarioDocument) -> Scenario:
 
     def build_state(name: str, vec: tuple[complex, ...]) -> KetState:
         arr = np.asarray(vec, dtype=complex)
-        nrm = vector_norm(arr)
-        line, col = doc.positions.get(("state", name), (1, 1))
-        if nrm == 0.0:
-            raise ScenarioParseError(f"state {name!r} has zero norm", line, col)
-        if abs(nrm - 1.0) > ATOL:  # exactly when unit_scaled rescales
-            notes.append(f"state {name!r} renormalized (declared norm {nrm:.12g})")
-        return KetState(space, unit_scaled(arr, nrm), normalize=False)
+        try:
+            unit, norm = unit_scaled(arr)
+        except ZeroStateError:
+            raise ScenarioParseError(f"state {name!r} has zero norm",
+                                     *doc.positions.get(name, (1, 1))) from None
+        if unit is not arr:
+            notes.append(f"state {name!r} renormalized (declared norm {norm:.12g})")
+        return KetState(space, unit, normalize=False)
 
     initial = build_state(doc.initial_name, doc.initial)
     finals = {name: build_state(name, vec) for name, vec in doc.finals}
@@ -470,10 +465,7 @@ def validate(doc: ScenarioDocument) -> Scenario:
         notes.append(f"final states {names[a]!r} and {names[b]!r} are not "
                      f"orthogonal (|overlap| = {overlap:.6g})")
 
-    for q in doc.queries:
-        _check_query(q, finals, observables)
-
-    return Scenario(
+    scenario = Scenario(
         name=doc.name or "scenario",
         space=space,
         initial=initial,
@@ -481,6 +473,9 @@ def validate(doc: ScenarioDocument) -> Scenario:
         observables=observables,
         notes=tuple(notes),
     )
+    for q in doc.queries:
+        _check_query(q, scenario)
+    return scenario
 
 
 def _format_real(x: float) -> str:

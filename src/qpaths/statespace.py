@@ -32,26 +32,24 @@ def _power_of_two_scaled(values: np.ndarray, floor: float = 0.0) -> tuple[np.nda
     return np.ldexp(parts, -e).view(values.dtype), e
 
 
-def vector_norm(values: np.ndarray) -> float:
-    """Euclidean norm of a contiguous complex vector, with no overflow or underflow.
+def unit_scaled(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """(unit, norm): the one rule that turns a declared vector into a state.
 
-    Taken after an exact power-of-two scaling, so it agrees to the bit with np.linalg.norm
-    wherever that stays in the float range; inf only when the norm exceeds the largest float.
+    norm is the Euclidean norm of the contiguous complex values, taken after an
+    exact power-of-two scaling, so it agrees to the bit with np.linalg.norm wherever
+    that stays in the float range and is inf only past the largest float.  unit is
+    values itself when norm is within ATOL of 1, and otherwise the scaled values
+    divided by their norm, so that no step leaves the float range.  Raises
+    ZeroStateError when every entry is zero.
     """
     scaled, e = _power_of_two_scaled(values)
-    return float(np.linalg.norm(scaled)) * math.ldexp(1.0, e)
-
-
-def unit_scaled(values: np.ndarray, norm: float) -> np.ndarray:
-    """The values divided by their vector_norm, which the caller passes in.
-
-    Values within ATOL of unit length are returned as they are; others are
-    first scaled by a power of two, so that no step leaves the float range.
-    """
+    scaled_norm = float(np.linalg.norm(scaled))
+    norm = scaled_norm * math.ldexp(1.0, e)
+    if norm == 0.0:
+        raise ZeroStateError("cannot normalize a zero state")
     if abs(norm - 1.0) > ATOL:
-        values = _power_of_two_scaled(values)[0]
-        values = values / np.linalg.norm(values)
-    return values
+        return scaled / scaled_norm, norm
+    return values, norm
 
 
 class EigenvalueClasses(NamedTuple):
@@ -116,9 +114,10 @@ def _frozen_array(values: Iterable[complex], dtype) -> np.ndarray:
 class KetState:
     """Complex amplitude vector over a StateSpace.
 
-    Construction normalizes to unit length by default.  Pass
-    normalize=False to keep the amplitudes exactly as given, e.g. for
-    scaled states or for basis vectors whose entries must stay exact.
+    Construction rejects non-finite amplitudes and normalizes to unit
+    length by default, with unit_scaled.  Pass normalize=False to keep
+    the amplitudes exactly as given, e.g. for scaled states or for basis
+    vectors whose entries must stay exact.
     """
 
     space: StateSpace
@@ -129,11 +128,10 @@ class KetState:
         if arr.size != space.dimension:
             raise DimensionMismatch(
                 f"state has {arr.size} amplitudes, space has dimension {space.dimension}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("amplitudes must be finite")
         if normalize:
-            nrm = vector_norm(arr)
-            if nrm == 0.0:
-                raise ZeroStateError("cannot normalize a zero state")
-            arr = _frozen_array(unit_scaled(arr, nrm), complex)
+            arr = _frozen_array(unit_scaled(arr)[0], complex)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "amplitudes", arr)
 

@@ -35,9 +35,9 @@ AMPLITUDE_GRID = {
 
 
 def test_criterion_01_amplitude_grid_exact():
-    table = amplitude_table(HARDY.initial, dict(HARDY.finals))
+    table = amplitude_table(HARDY.initial, HARDY.finals)
     for name, expected in AMPLITUDE_GRID.items():
-        column = table.values[:, table.final_names.index(name)]
+        column = table[:, list(HARDY.finals).index(name)]
         for k, want in enumerate(expected):
             assert abs(column[k] - want) <= 1e-12, (name, k)
         total = sum(expected)

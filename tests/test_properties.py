@@ -1,3 +1,4 @@
+import math
 import operator
 import string
 
@@ -12,11 +13,11 @@ from _invariants import (assert_all_invariants, dense_mean_reading,
 from qpaths import (DiagonalObservable, KetState, MeterModel, ScenarioDocument,
                     ScenarioParseError, StateSpace, decompose, expectation,
                     mean_reading, parse, reading_amplitude, serialize,
-                    weak_value)
+                    validate, weak_value)
 from qpaths.cli import Table
 from qpaths.scenario_io import (_REAL_RE, QUERY_KINDS, QueryDirective, _parse_real,
                                 _tokenize)
-from qpaths.statespace import vector_norm
+from qpaths.statespace import unit_scaled
 
 finite_complex = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                                     allow_infinity=False)
@@ -46,7 +47,28 @@ def zero_one_diagonal(draw, space):
 def test_normalize_gives_unit_norm(case):
     space, (u,) = case
     ket = KetState(space, u)
-    assert vector_norm(ket.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    assert unit_scaled(ket.amplitudes)[1] == pytest.approx(1.0, abs=1e-12)
+
+
+# norms on both sides of the rescaling threshold, and exact powers of two
+declared_norms = (st.sampled_from([1.0, 1 + 1e-13, 1 - 1e-13, 1 + 1e-11, 1 - 1e-11])
+                  | st.integers(-500, 500).map(lambda k: math.ldexp(1.0, k)))
+
+
+@given(spaces_with_vectors(), declared_norms)
+@settings(max_examples=200)
+@example(case=(StateSpace.of_dimension(2), [np.array([1.0, 1.0])]), norm=1 + 1e-11)
+def test_validate_notes_a_state_exactly_when_ket_state_changes_it(case, norm):
+    space, (v,) = case
+    vec = tuple(complex(z) for z in v / np.linalg.norm(v) * norm)
+    doc = ScenarioDocument(None, space.dimension, space.labels, "i", vec, (("f", vec),), (),
+                           (QueryDirective("probabilities", ()),))
+    sc = validate(doc)
+    ket = KetState(space, vec)
+    changed = ket.amplitudes.tobytes() != np.array(vec, dtype=complex).tobytes()
+    assert any(note.startswith("state 'i' renormalized") for note in sc.notes) == changed
+    assert sc.initial.amplitudes.tobytes() == ket.amplitudes.tobytes()
+    assert sc.final("f").amplitudes.tobytes() == ket.amplitudes.tobytes()
 
 
 @given(spaces_with_vectors(count=2))

@@ -213,6 +213,12 @@ def test_error_zero_norm_state():
     expect_error(text, 3, 7, "zero norm")
 
 
+def test_positions_are_kept_for_state_names_only():
+    doc = parse("dimension = 2\nbasis = a b\nstate i = 1 0\nstate f = 0 1\n"
+                "observable P = 1 0\nquery probabilities\n")
+    assert doc.positions == {"i": (3, 7), "f": (4, 7)}
+
+
 def test_only_an_exactly_zero_state_has_zero_norm():
     text = ("dimension = 2\nbasis = a b\nstate i = 1 0\nstate f = 1e-13 3e-13\n"
             "query probabilities\n")
@@ -237,19 +243,19 @@ def test_validation_notes_for_renormalization_and_overlap():
     sc = validate(parse(text))
     assert any("renormalized" in note for note in sc.notes)
     assert any("not orthogonal" in note for note in sc.notes)
-    assert statespace.vector_norm(sc.initial.amplitudes) == pytest.approx(1.0, abs=1e-15)
+    assert statespace.unit_scaled(sc.initial.amplitudes)[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_validate_takes_each_state_norm_once(monkeypatch):
     calls = []
-    vector_norm = statespace.vector_norm
+    unit_scaled = statespace.unit_scaled
 
-    def counting_norm(values):
+    def counting_unit_scaled(values):
         calls.append(values.size)
-        return vector_norm(values)
+        return unit_scaled(values)
 
-    monkeypatch.setattr(scenario_io, "vector_norm", counting_norm)
-    monkeypatch.setattr(statespace, "vector_norm", counting_norm)
+    monkeypatch.setattr(scenario_io, "unit_scaled", counting_unit_scaled)
+    monkeypatch.setattr(statespace, "unit_scaled", counting_unit_scaled)
     text = ("dimension = 2\nbasis = a b\nstate i = 2 0\nstate f = 1 0\n"
             "state g = 1e200 -1e200i\nquery probabilities\n")
     sc = validate(parse(text))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _invariants import transition_probability
-from qpaths import (RESERVED_NAMES, UnknownNameError, built_in,
+from qpaths import (RESERVED_NAMES, Scenario, UnknownNameError, built_in,
                     built_in_library, decompose, epsilon_grid, hardy,
                     hardy_epsilon, three_box)
 
@@ -108,6 +108,14 @@ def test_scenario_name_lookups():
         sc.observable("zz")
     assert tuple(sc.finals) == ("f", "g", "h", "j", "gamma")
     assert next(iter(sc.observables)) == "N(1-|1+)"
+
+
+def test_lookup_in_an_empty_mapping_says_none():
+    base = hardy()
+    sc = Scenario("bare", base.space, base.initial, {}, {})
+    with pytest.raises(UnknownNameError) as info:
+        sc.observable("N(1+)")
+    assert str(info.value) == "unknown observable 'N(1+)'; known: (none)"
 
 
 def test_epsilon_grid():

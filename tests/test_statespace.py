@@ -5,7 +5,7 @@ from _invariants import kets_close
 from qpaths import (DiagonalObservable, DimensionMismatch, KetState,
                     StateSpace, ZeroStateError, decompose, expectation,
                     fourier_basis)
-from qpaths.statespace import overlapping_pairs, vector_norm
+from qpaths.statespace import overlapping_pairs, unit_scaled
 
 
 def test_space_basics():
@@ -35,15 +35,15 @@ def test_basis_state():
 def test_ket_normalizes_on_construction():
     space = StateSpace(("a", "b"))
     ket = KetState(space, [3.0, 4.0])
-    assert vector_norm(ket.amplitudes) == pytest.approx(1.0, abs=1e-15)
+    assert unit_scaled(ket.amplitudes)[1] == pytest.approx(1.0, abs=1e-15)
     assert ket.amplitudes[0] == pytest.approx(0.6)
 
 
 def test_ket_unnormalized_construction():
     space = StateSpace(("a", "b"))
     ket = KetState(space, [3.0, 4.0], normalize=False)
-    assert vector_norm(ket.amplitudes) == 5.0
-    assert vector_norm(KetState(space, ket.amplitudes).amplitudes) == pytest.approx(1.0, abs=1e-15)
+    assert unit_scaled(ket.amplitudes)[1] == 5.0
+    assert unit_scaled(KetState(space, ket.amplitudes).amplitudes)[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_ket_exact_unit_input_is_untouched():
@@ -57,13 +57,13 @@ def test_ket_norm_without_overflow_or_underflow():
     space = StateSpace.of_dimension(2)
     assert kets_close(KetState(space, [1e200, -3e200]), KetState(space, [1.0, -3.0]))
     big = KetState(space, [3e200, 4e200], normalize=False)
-    assert vector_norm(big.amplitudes) == pytest.approx(5e200)
+    assert unit_scaled(big.amplitudes)[1] == pytest.approx(5e200)
     # entries in range, norm past the largest float
     assert kets_close(KetState(space, [1.5e308, 1.5e308]), KetState(space, [1.0, 1.0]))
-    assert vector_norm(np.array([3.0, 4.0j])) == 5.0
+    assert unit_scaled(np.array([3.0, 4.0j]))[1] == 5.0
     # squares of these subnormal entries underflow to zero
     tiny = KetState(space, [3e-320, 4e-320], normalize=False)
-    assert vector_norm(tiny.amplitudes) == pytest.approx(5e-320, rel=1e-3)
+    assert unit_scaled(tiny.amplitudes)[1] == pytest.approx(5e-320, rel=1e-3)
 
 
 def test_ket_rejects_zero_and_mismatch():
@@ -140,6 +140,15 @@ def test_observable_rejects_nonfinite():
     space = StateSpace(("a", "b"))
     with pytest.raises(ValueError):
         DiagonalObservable(space, [1.0, np.inf])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_ket_rejects_nonfinite(bad, normalize):
+    space = StateSpace(("a", "b"))
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        KetState(space, [bad, 1.0], normalize=normalize)
 
 
 def test_expectation():
