@@ -13,8 +13,7 @@ from .errors import (DimensionMismatch, MeterStatisticsUndefined,
                      NonProjectorError, PostSelectionImpossible, QPathsError,
                      ScenarioParseError, UnknownNameError, WeakValueUndefined,
                      ZeroStateError)
-from .statespace import (DiagonalObservable, KetState, StateSpace, expectation,
-                         fourier_basis)
+from .statespace import DiagonalObservable, KetState, StateSpace, expectation
 from .pathsum import PathDecomposition, amplitude_table, decompose
 from .measurement import (PathwayClass, PathwayNetwork, ProductRuleReport,
                           SumRuleReport, all_outcomes_probability,
@@ -45,7 +44,7 @@ __all__ = [
     "all_outcomes_probability", "amplitude_table", "build_network",
     "built_in", "built_in_library", "certain_reading",
     "conditional_reading_distribution", "decompose", "epsilon_grid",
-    "expectation", "fourier_basis", "grid_mean_reading", "hardy",
+    "expectation", "grid_mean_reading", "hardy",
     "hardy_epsilon", "load_path", "mean_reading", "parse",
     "product_rule_report", "projective_joint", "reading_amplitude",
     "scaled_widths", "serialize", "sum_rule_report", "three_box",

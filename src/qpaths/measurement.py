@@ -228,6 +228,6 @@ def product_rule_report(initial: KetState, final: KetState,
     if ca is None or cb is None:
         holds = True  # no joint certainty claimed, nothing to contradict
     else:
-        holds = cp is not None and abs(cp - ca * cb) <= CERTAINTY_TOL
+        holds = cp == ca * cb  # certain readings of projectors are exactly 0.0 or 1.0
     return ProductRuleReport(certain_first=ca, certain_second=cb,
                              certain_product=cp, holds=holds)

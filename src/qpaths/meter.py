@@ -75,6 +75,7 @@ at the one exact power-of-two scale of PathwayNetwork.scaled).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -190,7 +191,10 @@ def mean_reading(decomposition: PathDecomposition,
     if network.vanishes(denominator):
         raise MeterStatisticsUndefined(
             "post-selection succeeds with probability zero; no reading distribution")
-    return float(values @ rows / denominator)
+    # values @ rows can pass the largest float, so it is taken at an exact power-of-two
+    # scale that brings the largest |a| (at one end, as values are sorted) into [1, 2)
+    e = math.frexp(max(values[0], -values[-1]))[1] - 1
+    return float(np.ldexp(values, -e) @ rows / denominator) * math.ldexp(1.0, e)
 
 
 @dataclass(frozen=True)

@@ -417,16 +417,20 @@ def _check_query(q: QueryDirective, scenario: Scenario) -> None:
             except UnknownNameError as exc:
                 raise _query_error(q, key, str(exc)) from None
     if q.kind in ("mean-reading", "scan"):
-        obs = named["obs"]
-        if obs.spread <= 0.0:
-            raise _query_error(q, "obs",
-                               "observable has zero eigenvalue spread; "
-                               "meter widths have no scale")
+        spread = named["obs"].spread
+        if not 0.0 < spread < math.inf:
+            what = ("observable has zero eigenvalue spread" if spread <= 0.0 else
+                    "observable's eigenvalue spread exceeds the largest float")
+            raise _query_error(q, "obs", f"{what}; meter widths have no scale")
         key = QUERY_ARGS[q.kind][-1]
         try:
-            QUERY_VALUE_TYPES[key](q.argument(key))
+            ratios = np.atleast_1d(QUERY_VALUE_TYPES[key](q.argument(key))).tolist()
         except ValueError as exc:
             raise _query_error(q, key, str(exc)) from None
+        for ratio in ratios:
+            if not 0.0 < ratio * spread < math.inf:
+                raise _query_error(q, key, f"width {ratio:g} times the eigenvalue spread "
+                                   f"{spread:g} is outside the float range")
     if q.kind in ("sum-rule", "product-rule"):
         first, second = named["obs"], named["obs2"]
         for key, obs in (("obs", first), ("obs2", second)):
@@ -437,6 +441,15 @@ def _check_query(q: QueryDirective, scenario: Scenario) -> None:
         if q.kind == "sum-rule" and bool(np.any(first.eigenvalues * second.eigenvalues != 0.0)):
             raise _query_error(q, "obs2",
                                "sum-rule projectors must have disjoint support")
+
+
+def _norm_text(values: np.ndarray, norm: float) -> str:
+    """norm to 12 significant digits; past the largest float, the norm of
+    values * 2**-64, which is exact as an integer times 2**64."""
+    if norm < math.inf:
+        return f"{norm:.12g}"
+    from decimal import Decimal
+    return f"{Decimal(int(unit_scaled(values * 2.0 ** -64)[1]) << 64):.12g}"
 
 
 def validate(doc: ScenarioDocument) -> Scenario:
@@ -452,7 +465,7 @@ def validate(doc: ScenarioDocument) -> Scenario:
             raise ScenarioParseError(f"state {name!r} has zero norm",
                                      *doc.positions.get(name, (1, 1))) from None
         if unit is not arr:
-            notes.append(f"state {name!r} renormalized (declared norm {norm:.12g})")
+            notes.append(f"state {name!r} renormalized (declared norm {_norm_text(arr, norm)})")
         return KetState(space, unit, normalize=False)
 
     initial = build_state(doc.initial_name, doc.initial)

@@ -10,6 +10,7 @@ package:
 * hardy: an electron-positron pair in two overlapping two-arm
   interferometers; the component where both particles occupy the
   overlapping arms has been replaced by an annihilation-photon channel.
+  It is declared once, in the shipped data/hardy.scn.
 * hardy-epsilon: same geometry with a one-parameter family of final
   states that makes the post-selection arbitrarily improbable and the
   weak occupation numbers arbitrarily large.
@@ -17,7 +18,8 @@ package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -92,94 +94,41 @@ def three_box(beta: float = 0.5) -> Scenario:
     )
 
 
-_HARDY_LABELS = ("1-,1+", "1-,2+", "2-,1+", "2-,2+", "gamma")
-
-
-def _hardy_space() -> StateSpace:
-    return StateSpace(_HARDY_LABELS)
-
-
-def _hardy_observables(space: StateSpace) -> dict[str, DiagonalObservable]:
-    # pair occupations project on one arm assignment; single-particle
-    # occupations on one particle's arm; the photon channel counts zero
-    # particles in every arm
-    rows = {
-        "N(1-|1+)": [1.0, 0.0, 0.0, 0.0, 0.0],
-        "N(1-|2+)": [0.0, 1.0, 0.0, 0.0, 0.0],
-        "N(2-|1+)": [0.0, 0.0, 1.0, 0.0, 0.0],
-        "N(2-|2+)": [0.0, 0.0, 0.0, 1.0, 0.0],
-        "N(1-)": [1.0, 1.0, 0.0, 0.0, 0.0],
-        "N(2-)": [0.0, 0.0, 1.0, 1.0, 0.0],
-        "N(1+)": [1.0, 0.0, 1.0, 0.0, 0.0],
-        "N(2+)": [0.0, 1.0, 0.0, 1.0, 0.0],
-    }
-    return {name: DiagonalObservable(space, evs) for name, evs in rows.items()}
-
-
-def _hardy_finals(space: StateSpace) -> dict[str, KetState]:
-    half = 0.5
-    return {
-        "f": KetState(space, [half, -half, -half, half, 0.0]),
-        "g": KetState(space, [half, -half, half, -half, 0.0]),
-        "h": KetState(space, [half, half, -half, -half, 0.0]),
-        "j": KetState(space, [half, half, half, half, 0.0]),
-        "gamma": space.basis_state("gamma"),
-    }
-
-
-_HARDY_NOTES = (
-    "basis: electron arm then positron arm, e.g. '2-,1+' is electron in arm 2, "
-    "positron in arm 1; 'gamma' is the annihilation-photon channel",
-    "the initial pair state has the doubly-overlapping-arm component replaced "
-    "by the photon channel, so three pair paths and the photon path remain",
-    "occupation operators assign eigenvalue 0 to the photon channel: an "
-    "annihilated pair occupies no interferometer arm",
-)
-
-
 def hardy() -> Scenario:
     """Electron-positron pair in overlapping interferometers, post-annihilation.
 
-    Initial state (|1-,1+> + |1-,2+> + |2-,1+> + |gamma>)/2.  The four
-    orthonormal pair finals f, g, h, j combine the +-1 interference
-    signatures of both particles; 'gamma' detects the annihilation
-    photon.  All amplitudes are exact binary fractions.
+    Read from the shipped data/hardy.scn, which declares the basis, the
+    states and the occupation observables.  Initial state
+    (|1-,1+> + |1-,2+> + |2-,1+> + |gamma>)/2.  The four orthonormal pair
+    finals f, g, h, j combine the +-1 interference signatures of both
+    particles; 'gamma' detects the annihilation photon.  All amplitudes
+    are exact binary fractions.
     """
-    space = _hardy_space()
-    initial = KetState(space, [0.5, 0.5, 0.5, 0.0, 0.5])
-    return Scenario(
-        name="hardy",
-        space=space,
-        initial=initial,
-        finals=_hardy_finals(space),
-        observables=_hardy_observables(space),
-        notes=_HARDY_NOTES,
-    )
+    from .scenario_io import load_path, validate  # scenario_io imports this module
+    path = os.path.join(os.path.dirname(__file__), "data", "hardy.scn")
+    return replace(validate(load_path(path)), name="hardy")
 
 
 def hardy_epsilon(epsilon: float = 0.5) -> Scenario:
     """Hardy geometry with the tunable final state (1, -1, -e, e, 0)/sqrt(2+2e^2).
 
-    At epsilon = 1 this is exactly the 'hardy' scenario's final f.  As
-    epsilon shrinks, post-selecting on f becomes improbable and the weak
-    occupation numbers grow like 1/epsilon.  For epsilon != 1 the f
-    state is not orthogonal to g and h, so the finals no longer describe
-    exclusive detector outcomes; per-final quantities remain well
-    defined.  Requires a positive finite epsilon.
+    The 'hardy' scenario, read from data/hardy.scn, with its final f
+    replaced.  At epsilon = 1 this is exactly the 'hardy' scenario's
+    final f.  As epsilon shrinks, post-selecting on f becomes improbable
+    and the weak occupation numbers grow like 1/epsilon.  For epsilon != 1
+    the f state is not orthogonal to g and h, so the finals no longer
+    describe exclusive detector outcomes; per-final quantities remain
+    well defined.  Requires a positive finite epsilon.
     """
     if not (epsilon > 0.0 and np.isfinite(epsilon)):
         raise ValueError("epsilon must be positive and finite")
-    space = _hardy_space()
-    initial = KetState(space, [0.5, 0.5, 0.5, 0.0, 0.5])
-    finals = _hardy_finals(space)
-    finals["f"] = KetState(space, [1.0, -1.0, -epsilon, epsilon, 0.0])
-    return Scenario(
+    scenario = hardy()
+    final = KetState(scenario.space, [1.0, -1.0, -epsilon, epsilon, 0.0])
+    return replace(
+        scenario,
         name="hardy-epsilon",
-        space=space,
-        initial=initial,
-        finals=finals,
-        observables=_hardy_observables(space),
-        notes=_HARDY_NOTES + (
+        finals={**scenario.finals, "f": final},
+        notes=scenario.notes + (
             f"final 'f' uses amplitudes (1, -1, -e, e, 0) with e = {epsilon:g}, "
             "renormalized to unit length",
             "for e != 1 the final family is not mutually orthogonal",

@@ -85,19 +85,6 @@ class StateSpace:
     def dimension(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no basis label {label!r} in {self.labels}") from None
-
-    def basis_state(self, which: int | str) -> KetState:
-        """Unit ket along one basis direction."""
-        k = which if isinstance(which, int) else self.index(which)
-        amps = np.zeros(self.dimension, dtype=complex)
-        amps[k] = 1.0
-        return KetState(self, amps, normalize=False)
-
     @staticmethod
     def of_dimension(n: int) -> StateSpace:
         return StateSpace(tuple(f"n{k}" for k in range(n)))
@@ -192,9 +179,10 @@ class DiagonalObservable:
 
     @property
     def spread(self) -> float:
-        """Width of the spectrum: max eigenvalue minus min eigenvalue."""
+        """Width of the spectrum: max eigenvalue minus min eigenvalue, inf past the
+        largest float."""
         values = self.classes.values
-        return float(values[0] - values[-1])
+        return float(values[0]) - float(values[-1])
 
     def __add__(self, other: DiagonalObservable) -> DiagonalObservable:
         if self.space != other.space:
@@ -217,19 +205,3 @@ def expectation(state: KetState, observable: DiagonalObservable) -> float:
         raise DimensionMismatch("state and observable live over different spaces")
     weights = np.abs(state.amplitudes) ** 2
     return float(np.real(np.sum(observable.eigenvalues * weights)))
-
-
-def fourier_basis(space: StateSpace) -> tuple[KetState, ...]:
-    """A complete orthonormal basis with no zero components.
-
-    Discrete-Fourier vectors z_k[n] = exp(-2*pi*i*k*n/N)/sqrt(N).  Useful
-    as an alternative complete family of final states: every basis path
-    contributes to every member.
-    """
-    n = space.dimension
-    grid = np.arange(n)
-    states = []
-    for k in range(n):
-        amps = np.exp(-2j * np.pi * k * grid / n) / np.sqrt(n)
-        states.append(KetState(space, amps, normalize=False))
-    return tuple(states)

@@ -12,7 +12,7 @@ import numpy as np
 
 from qpaths import (DiagonalObservable, KetState, StateSpace, build_network,
                     conditional_reading_distribution, decompose, expectation,
-                    fourier_basis, weak_value)
+                    weak_value)
 from qpaths.cli import _real_text, emit
 from qpaths.meter import BLOCK_ROWS
 
@@ -63,6 +63,24 @@ def dense_reading_amplitude(evs, amps, width, x):
 def scaled(state: KetState, factor: complex) -> KetState:
     """The state times a constant, left unnormalized."""
     return KetState(state.space, state.amplitudes * factor, normalize=False)
+
+
+def basis_ket(space: StateSpace, which: int | str) -> KetState:
+    """Unit ket along one basis direction, given by index or label; entries exact."""
+    amps = np.zeros(space.dimension, dtype=complex)
+    amps[which if isinstance(which, int) else space.labels.index(which)] = 1.0
+    return KetState(space, amps, normalize=False)
+
+
+def fourier_family(space: StateSpace) -> tuple[KetState, ...]:
+    """Discrete-Fourier vectors z_k[n] = exp(-2 pi i k n/N)/sqrt(N): a complete
+    orthonormal family of finals with no zero component, so every path
+    contributes to every member."""
+    n = space.dimension
+    grid = np.arange(n)
+    return tuple(KetState(space, np.exp(-2j * np.pi * k * grid / n) / np.sqrt(n),
+                          normalize=False)
+                 for k in range(n))
 
 
 def class_values(network) -> tuple[float, ...]:
@@ -121,8 +139,8 @@ def assert_partition(space, initial, final, observable) -> None:
 def assert_complete_family_identity(space, initial, observable, rng) -> None:
     """Reading-1 probability summed over any complete final family = <i|F|i>."""
     direct = expectation(initial, observable)
-    standard = tuple(space.basis_state(k) for k in range(space.dimension))
-    for family in (standard, fourier_basis(space), random_unitary_basis(space, rng)):
+    standard = tuple(basis_ket(space, k) for k in range(space.dimension))
+    for family in (standard, fourier_family(space), random_unitary_basis(space, rng)):
         total = 0.0
         for fin in family:
             total += build_network(initial, fin, observable).probability_of(1.0)
@@ -143,7 +161,7 @@ def assert_weak_value_rules(space, initial, final, first, second, rng) -> None:
     # single contributing path: post-select on the basis state where the
     # initial amplitude is largest, so the one amplitude cannot be tiny
     k = int(np.argmax(np.abs(initial.amplitudes)))
-    collapsed = decompose(initial, space.basis_state(k))
+    collapsed = decompose(initial, basis_ket(space, k))
     assert abs(weak_value(collapsed, first).complex_value
                - first.eigenvalues[k]) <= TOL
 

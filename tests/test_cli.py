@@ -146,6 +146,47 @@ def test_large_finite_state_is_the_same_ray(tmp_path, capsys):
     assert outputs[0].splitlines()[-1].split(",")[-1] == "-0.5"
 
 
+@pytest.mark.parametrize("eigenvalues, query, column, message", [
+    ("1e308 -1e308", "mean-reading final=f obs=A width=1", 28,
+     "observable's eigenvalue spread exceeds the largest float; meter widths have no scale"),
+    ("1e307 0", "scan final=f obs=A widths=0.01,100", 26,
+     "width 100 times the eigenvalue spread 1e+307 is outside the float range"),
+], ids=["spread", "widths"])
+def test_meter_width_past_the_largest_float_is_rejected_where_declared(
+        tmp_path, capsys, eigenvalues, query, column, message):
+    target = tmp_path / "huge.scn"
+    target.write_text("dimension = 2\nbasis = a b\nstate i = 1 1\nstate f = 1 -0.5\n"
+                      f"observable A = {eigenvalues}\nquery {query}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {target}: line 6, column {column}: {message}\n"
+
+
+def test_mean_reading_near_the_largest_float_matches_the_weak_value(tmp_path, capsys):
+    target = tmp_path / "huge.scn"
+    target.write_text("dimension = 2\nbasis = a b\nstate i = 1 1\nstate f = 1 1\n"
+                      "observable A = 1.5e308 1.4e308\n"
+                      "query mean-reading final=f obs=A width=1\nquery weak final=f obs=A\n",
+                      encoding="utf-8")
+    code, out, _ = run_cli(capsys, "run", str(target), "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2] == "f,A,1,1e+307,1.45e+308"
+    assert lines[-1].split(",")[-1] == "1.45e+308"
+
+
+def test_renormalization_note_reads_a_norm_past_the_largest_float(tmp_path, capsys):
+    target = tmp_path / "huge.scn"
+    target.write_text("dimension = 2\nbasis = a b\nstate i = 1.5e308 1.5e308\n"
+                      "state f = 1 0\nquery probabilities\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(target), "--format", "csv")
+    assert code == 0
+    assert err == (f"note: {target}: state 'i' renormalized "
+                   "(declared norm 2.12132034356e+308)\n")
+    assert out.splitlines()[-1] == 'f,"(0.707106781187, 0)",0.5'
+
+
 @pytest.mark.filterwarnings("error")
 def test_weak_value_at_huge_epsilon(capsys):
     code, out, err = run_cli(capsys, "weak", "--scenario", "hardy-epsilon",

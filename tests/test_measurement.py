@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from _invariants import class_values
+from _invariants import basis_ket, class_values, fourier_family
 from qpaths import (DiagonalObservable, DimensionMismatch, KetState, MeterModel,
                     NonProjectorError, PathwayNetwork, PostSelectionImpossible,
                     StateSpace, all_outcomes_probability, build_network,
                     certain_reading, conditional_reading_distribution, decompose,
-                    fourier_basis, hardy, mean_reading, product_rule_report, reading_amplitude,
+                    hardy, mean_reading, product_rule_report, reading_amplitude,
                     sum_rule_report, three_box, weak_value)
 
 
@@ -120,7 +120,7 @@ def test_network_holds_its_class_sums_at_one_power_of_two_scale(scale):
 def test_rounding_sets_the_scale_of_class_sums_that_are_noise():
     # every class sum is zero in exact arithmetic and rounding noise as computed
     space = StateSpace.of_dimension(6)
-    dec = decompose(KetState(space, np.ones(6)), fourier_basis(space)[3])
+    dec = decompose(KetState(space, np.ones(6)), fourier_family(space)[3])
     net = PathwayNetwork.of(dec, DiagonalObservable(space, [0, 1, 2, 0, 1, 2]))
     assert_scaled_by_a_power_of_two(net)
     amplitudes, rounding, _ = net.scaled
@@ -170,7 +170,7 @@ def test_conditional_distribution():
 
 def test_conditional_distribution_impossible():
     space = StateSpace(("a", "b"))
-    net = build_network(space.basis_state("a"), space.basis_state("b"),
+    net = build_network(basis_ket(space, "a"), basis_ket(space, "b"),
                         DiagonalObservable(space, [1.0, 1.0]))
     with pytest.raises(PostSelectionImpossible):
         conditional_reading_distribution(net)
@@ -239,7 +239,7 @@ def test_product_rule_holds_without_joint_certainty():
 
 def test_product_rule_holds_in_plain_case():
     space = StateSpace(("a", "b"))
-    ket = space.basis_state("a")
+    ket = basis_ket(space, "a")
     p = DiagonalObservable(space, [1.0, 0.0])
     report = product_rule_report(ket, ket, p, p)
     assert report.certain_first == 1.0

@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from _invariants import blocked_mean_reading, dense_mean_reading, dense_reading_amplitude
+from _invariants import (basis_ket, blocked_mean_reading, dense_mean_reading,
+                         dense_reading_amplitude, fourier_family)
 from qpaths import (DiagonalObservable, KetState, MeterModel,
                     MeterStatisticsUndefined, StateSpace, WeakValueUndefined,
                     build_network, conditional_reading_distribution, decompose,
-                    epsilon_grid, fourier_basis, grid_mean_reading, hardy,
+                    epsilon_grid, grid_mean_reading, hardy,
                     hardy_epsilon, mean_reading, reading_amplitude, scaled_widths,
                     three_box, weak_limit_convergence, weak_value)
 from qpaths.measurement import PathwayNetwork
@@ -74,7 +75,7 @@ def test_mean_reading_approaches_weak_value():
 
 def test_mean_reading_undefined_when_post_selection_impossible():
     space = StateSpace(("a", "b"))
-    dec = decompose(space.basis_state("a"), space.basis_state("b"))
+    dec = decompose(basis_ket(space, "a"), basis_ket(space, "b"))
     obs = DiagonalObservable(space, [1.0, 0.0])
     with pytest.raises(MeterStatisticsUndefined):
         mean_reading(dec, obs, MeterModel(1.0))
@@ -147,7 +148,7 @@ def test_weak_value_is_complex_in_general():
 
 def test_weak_value_undefined_for_orthogonal_selection():
     space = StateSpace(("a", "b"))
-    dec = decompose(space.basis_state("a"), space.basis_state("b"))
+    dec = decompose(basis_ket(space, "a"), basis_ket(space, "b"))
     with pytest.raises(WeakValueUndefined):
         weak_value(dec, DiagonalObservable(space, [1.0, 0.0]))
 
@@ -156,7 +157,7 @@ def test_weak_value_undefined_when_total_is_rounding_noise():
     # |<f|i>| is 1.6e-16 against sum |amp| = 1: below the n eps sum |amp|
     # rounding bound of the path sum, so its phase and size are noise
     space = StateSpace.of_dimension(3)
-    dec = decompose(KetState(space, [1.0, 1.0, 1.0]), fourier_basis(space)[1])
+    dec = decompose(KetState(space, [1.0, 1.0, 1.0]), fourier_family(space)[1])
     assert 0.0 < abs(dec.total_amplitude) < 1e-15
     with pytest.raises(WeakValueUndefined, match="amplitude is zero"):
         weak_value(dec, DiagonalObservable(space, [1.0, 0.0, 0.0]))

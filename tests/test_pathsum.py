@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _invariants import transition_probability
+from _invariants import basis_ket, transition_probability
 from qpaths import DimensionMismatch, KetState, StateSpace, amplitude_table, decompose, hardy
 
 
@@ -10,7 +10,7 @@ def test_path_amplitudes_for_hardy_f():
     dec = decompose(sc.initial, sc.final("f"))
     assert dec.amplitudes.tolist() == [0.25, -0.25, -0.25, 0.0, 0.0]
     assert dec.total_amplitude == -0.25
-    assert dec.amplitudes[sc.space.index("2-,1+")] == -0.25
+    assert dec.amplitudes[sc.space.labels.index("2-,1+")] == -0.25
 
 
 def test_total_amplitude_equals_inner_product():
@@ -33,7 +33,7 @@ def test_transition_probabilities():
 def test_single_basis_final_leaves_one_path():
     space = StateSpace(("a", "b", "c"))
     initial = KetState(space, [1.0, 1.0, 1.0])
-    dec = decompose(initial, space.basis_state("b"))
+    dec = decompose(initial, basis_ket(space, "b"))
     assert dec.amplitudes[0] == 0.0 and dec.amplitudes[2] == 0.0
     assert dec.amplitudes[1] != 0.0
 
@@ -69,6 +69,6 @@ def test_conjugation_matters_for_complex_finals():
 def test_amplitude_table_rejects_a_final_over_another_space():
     sc = hardy()
     other = StateSpace.of_dimension(5)
-    finals = {"f": sc.final("f"), "g": other.basis_state(0)}
+    finals = {"f": sc.final("f"), "g": basis_ket(other, 0)}
     with pytest.raises(DimensionMismatch, match="different spaces"):
         amplitude_table(sc.initial, finals)

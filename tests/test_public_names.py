@@ -9,9 +9,9 @@ and keyword arguments that share a name):
 * its defining module loads it outside its own def or class, where no
   parameter or local of the same name shadows it;
 * a benchmark module (qbench/*.py) reads it as an attribute of the
-  imported package (``qp.<name>``), imports it from qpaths, or names it
-  in the table of functions the benchmark traces (``TRACED``), whose
-  times and call counts the benchmark reports.
+  imported package (``qp.<name>``) or imports it from qpaths.  Naming a
+  function in the benchmark's trace table is not a call: a traced name
+  with no caller reads 0 and shows nothing.
 
 The public methods and properties of every exported class are guarded
 too.  Each must be read as an attribute (``obj.<name>``) somewhere in
@@ -105,10 +105,6 @@ def _benchmark_callers() -> set[str]:
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in aliases):
                 used.add(node.attr)
-            elif (isinstance(node, ast.Assign)
-                  and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)):
-                for functions in ast.literal_eval(node.value).values():
-                    used.update(functions)
     return used
 
 

@@ -32,7 +32,7 @@ def test_hardy_observables_are_projectors_with_silent_photon_row():
     assert len(sc.observables) == 8
     for obs in sc.observables.values():
         assert obs.is_projector
-        assert obs.eigenvalues[sc.space.index("gamma")] == 0.0
+        assert obs.eigenvalues[sc.space.labels.index("gamma")] == 0.0
     pair_sum = sum(np.count_nonzero(sc.observable(n).eigenvalues)
                    for n in ("N(1-|1+)", "N(1-|2+)", "N(2-|1+)", "N(2-|2+)"))
     assert pair_sum == 4

@@ -1,20 +1,16 @@
 import numpy as np
 import pytest
 
-from _invariants import kets_close
+from _invariants import basis_ket, fourier_family, kets_close
 from qpaths import (DiagonalObservable, DimensionMismatch, KetState,
-                    StateSpace, ZeroStateError, decompose, expectation,
-                    fourier_basis)
+                    StateSpace, ZeroStateError, decompose, expectation)
 from qpaths.statespace import overlapping_pairs, unit_scaled
 
 
 def test_space_basics():
     space = StateSpace(("a", "b", "c"))
     assert space.dimension == 3
-    assert space.index("b") == 1
     assert space.labels[2] == "c"
-    with pytest.raises(KeyError):
-        space.index("missing")
 
 
 def test_space_rejects_bad_labels():
@@ -22,14 +18,6 @@ def test_space_rejects_bad_labels():
         StateSpace(())
     with pytest.raises(ValueError):
         StateSpace(("x", "x"))
-
-
-def test_basis_state():
-    space = StateSpace(("a", "b"))
-    ket = space.basis_state("b")
-    assert ket.amplitudes[space.index("b")] == 1.0
-    assert ket.amplitudes[space.index("a")] == 0.0
-    assert kets_close(space.basis_state(0), space.basis_state("a"))
 
 
 def test_ket_normalizes_on_construction():
@@ -93,7 +81,7 @@ def test_inner_conjugates_first_argument():
 def test_overlapping_pairs_match_pairwise_inner_products():
     space = StateSpace.of_dimension(3)
     rng = np.random.default_rng(7)
-    states = [space.basis_state(0), KetState(space, [1, 1, 0]), space.basis_state(2),
+    states = [basis_ket(space, 0), KetState(space, [1, 1, 0]), basis_ket(space, 2),
               KetState(space, [0, 5e-10, 1], normalize=False),
               KetState(space, rng.normal(size=3) + 1j * rng.normal(size=3))]
     expected = [(a, b, abs(np.vdot(states[a].amplitudes, states[b].amplitudes)))
@@ -104,13 +92,13 @@ def test_overlapping_pairs_match_pairwise_inner_products():
     assert (1, 3) not in [(a, b) for a, b, _ in got]  # overlap 3.5e-10 is below 1e-9
     for (_, _, g), (_, _, e) in zip(got, expected):
         assert g == pytest.approx(e, abs=1e-15)
-    assert overlapping_pairs(fourier_basis(space)) == []
+    assert overlapping_pairs(fourier_family(space)) == []
     assert overlapping_pairs([]) == []
 
 
 def test_inner_requires_same_space():
     with pytest.raises(DimensionMismatch):
-        decompose(StateSpace(("a",)).basis_state(0), StateSpace(("b",)).basis_state(0))
+        decompose(basis_ket(StateSpace(("a",)), 0), basis_ket(StateSpace(("b",)), 0))
 
 
 def test_observable_basics():
@@ -124,7 +112,7 @@ def test_observable_basics():
     assert obs.spread == 2.0
     assert not obs.is_projector
     assert DiagonalObservable(space, [1.0, 0.0, 1.0]).is_projector
-    assert obs.eigenvalues[space.index("c")] == 2.0
+    assert obs.eigenvalues[space.labels.index("c")] == 2.0
 
 
 def test_observable_algebra():
@@ -158,9 +146,9 @@ def test_expectation():
     assert expectation(ket, obs) == pytest.approx(2.0, abs=1e-15)
 
 
-def test_fourier_basis_is_complete_and_orthonormal():
+def test_fourier_family_is_complete_and_orthonormal():
     space = StateSpace.of_dimension(5)
-    family = fourier_basis(space)
+    family = fourier_family(space)
     gram = np.array([[np.vdot(a.amplitudes, b.amplitudes) for b in family] for a in family])
     assert np.allclose(gram, np.eye(5), atol=1e-14)
     for member in family:

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _invariants import fourier_family
 from qpaths import (DiagonalObservable, KetState, MeterModel, MeterStatisticsUndefined,
                     PathwayNetwork, PostSelectionImpossible, StateSpace,
                     WeakValueUndefined, conditional_reading_distribution, decompose,
-                    fourier_basis, mean_reading, three_box, weak_value)
+                    mean_reading, three_box, weak_value)
 from qpaths.cli import main
 from qpaths.oracle import grid_mean_reading
 from qpaths.statespace import unit_scaled
@@ -60,7 +61,7 @@ def test_class_sums_of_rounding_noise_are_undefined_everywhere(k):
     # every class sum is zero in exact arithmetic; the computed ones are
     # rounding noise of the stored Fourier final, up to 4.8 eps of a class
     space = StateSpace.of_dimension(6)
-    dec = decompose(KetState(space, np.ones(6)), fourier_basis(space)[k])
+    dec = decompose(KetState(space, np.ones(6)), fourier_family(space)[k])
     obs = DiagonalObservable(space, [0, 1, 2, 0, 1, 2])
     assert np.abs(PathwayNetwork.of(dec, obs).amplitudes).max() > 0.0
     with pytest.raises(WeakValueUndefined):
@@ -78,7 +79,7 @@ def test_near_orthogonal_mean_is_defined_until_the_kernel_rounds_to_one():
     # <f|i> = 0 exactly, so W = (2/9)(1 - K_10): 2.8e-6 at 100 spreads,
     # 2.8e-14 at 1e6, and rounding noise once K_10 = exp(-1/(8 w^2)) is 1.0
     space = StateSpace.of_dimension(3)
-    dec = decompose(KetState(space, np.ones(3)), fourier_basis(space)[1])
+    dec = decompose(KetState(space, np.ones(3)), fourier_family(space)[1])
     obs = DiagonalObservable(space, [1.0, 0.0, 0.0])
     for width in (1.0, 100.0):
         assert abs(mean_reading(dec, obs, MeterModel(width)) - 0.5) <= 1e-9
