@@ -11,9 +11,11 @@ final states and observables, and at least one query to run:
     observable N(1-|1+) = 1 0 0 0 0
     query network final=f obs=N(1-|1+)
 
-'#' starts a comment anywhere.  Number literals: decimals (0.25, 1e-3),
-rationals (1/4), surds (1/sqrt(2)), complex (1+2i, -0.5i) and explicit
-pairs ((0.70710678, 0)).  Meter widths in queries are given in units of
+'#' starts a comment anywhere.  Number literals: a real is a decimal
+(0.25, 1e-3), rational (1/4) or surd (1/sqrt(2)), with an optional sign.
+A state value is a pair ((0.70710678, 0)), a+bi or a-bi with b optional
+(1+2i, -1-0.5i, 1-i), bi (-0.5i), i, +i, -i, or a real; an observable
+value is a real.  Meter widths in queries are given in units of
 the observable's eigenvalue spread.  Errors carry 1-based line and
 column positions and parsing never raises anything else.
 
@@ -47,11 +49,18 @@ QUERY_ARGS: dict[str, tuple[str, ...]] = {
 }
 QUERY_KINDS = tuple(QUERY_ARGS)
 
-_DECIMAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# one way to match each text, so no failed match backtracks through its digits
+_DECIMAL = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _RATIONAL = r"\d+/\d+"
 _SURD = r"\d+/sqrt\(\d+\)"
 _UREAL = rf"(?:{_SURD}|{_RATIONAL}|{_DECIMAL})"
 _REAL_RE = re.compile(rf"[+-]?{_UREAL}")
+# the state value forms, one alternative each: (re, im); a+bi and a-bi,
+# where b may be left out; bi, i, +i and -i; a
+_LITERAL_RE = re.compile(rf"\(\s*({_REAL_RE.pattern})\s*,\s*({_REAL_RE.pattern})\s*\)"
+                         rf"|({_REAL_RE.pattern})([+-]{_UREAL}?)i"
+                         rf"|([+-]?{_UREAL}?)i"
+                         rf"|({_REAL_RE.pattern})")
 _NAME_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 
@@ -134,75 +143,55 @@ def _tokenize(raw: str) -> list[tuple[str, int]]:
             for start, end in map(re.Match.span, _TOKEN_RE.finditer(shape))]
 
 
-_PLAIN_DECIMAL = "0123456789.eE+-"
+def _real_value(part: str, line: int, col: int) -> float:
+    """The float that a match of _REAL_RE stands for: p/q is the exact
+    quotient rounded once, p/sqrt(k) is fl(p) / sqrt(fl(k))."""
+    if "/" not in part:
+        value = float(part)
+    else:
+        sign = -1.0 if part[0] == "-" else 1.0
+        p, q = part.lstrip("+-").split("/")
+        if q[0] == "s":
+            radicand = float(q[5:-1])
+            if radicand <= 0.0:
+                raise ScenarioParseError(f"surd radicand must be positive in {part!r}",
+                                         line, col)
+            value = float(p) / math.sqrt(radicand) if radicand < math.inf else math.inf
+        else:
+            try:
+                # exact; int() reads at most 4300 digits, so leading zeros go
+                # first, and a longer integer counts as past the float range
+                value = int(p.lstrip("0") or 0) / int(q.lstrip("0") or 0)
+            except ZeroDivisionError:
+                raise ScenarioParseError(f"division by zero in {part!r}", line, col) from None
+            except (OverflowError, ValueError):
+                value = math.inf
+        value *= sign
+    if not math.isfinite(value):
+        raise ScenarioParseError(f"literal {part!r} is not a finite number", line, col)
+    return value
 
 
 def _parse_real(token: str, line: int, col: int) -> float:
-    if not token.strip(_PLAIN_DECIMAL):
-        # on these characters float() accepts exactly the grammar's decimals
-        try:
-            value = float(token)
-        except ValueError:
-            pass
-        else:
-            if math.isfinite(value):
-                return value
     if not _REAL_RE.fullmatch(token):
         raise ScenarioParseError(
             f"bad real literal {token!r} (decimals, p/q, and p/sqrt(k) are accepted)",
             line, col)
-    sign = 1.0
-    body = token
-    if body[0] in "+-":
-        sign = -1.0 if body[0] == "-" else 1.0
-        body = body[1:]
-    if "sqrt" in body:
-        p, k = body.split("/sqrt(")
-        radicand = float(k[:-1])
-        if radicand <= 0.0:
-            raise ScenarioParseError(f"surd radicand must be positive in {token!r}", line, col)
-        value = float(p) / math.sqrt(radicand)
-    elif "/" in body:
-        p, q = body.split("/")
-        if float(q) == 0.0:
-            raise ScenarioParseError(f"division by zero in {token!r}", line, col)
-        value = float(p) / float(q)
-    else:
-        value = float(body)
-    if not math.isfinite(value):
-        raise ScenarioParseError(f"literal {token!r} is not a finite number", line, col)
-    return sign * value
-
-
-_PAIR_RE = re.compile(rf"\(\s*([+-]?{_UREAL})\s*,\s*([+-]?{_UREAL})\s*\)")
+    return _real_value(token, line, col)
 
 
 def _parse_complex(token: str, line: int, col: int) -> complex:
-    if token.startswith("("):
-        m = _PAIR_RE.fullmatch(token)
-        if not m:
+    m = _LITERAL_RE.fullmatch(token)
+    if m is None:
+        if token.startswith("("):
             raise ScenarioParseError(
                 f"bad complex pair {token!r} (expected (re, im))", line, col)
-        return complex(_parse_real(m.group(1), line, col),
-                       _parse_real(m.group(2), line, col))
-    if token.endswith("i"):
-        body = token[:-1]
-        split = -1
-        for k in range(1, len(body)):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                split = k
-        if split >= 0:
-            real = _parse_real(body[:split], line, col)
-            imag_text = body[split:]
-            imag = (1.0 if imag_text == "+" else -1.0 if imag_text == "-"
-                    else _parse_real(imag_text, line, col))
-            return complex(real, imag)
-        if body in ("", "+"):
-            return 1j
-        if body == "-":
-            return -1j
-        return complex(0.0, _parse_real(body, line, col))
-    return complex(_parse_real(token, line, col), 0.0)
+        return _parse_real(token, line, col)  # raises "bad real literal"
+    real, imag = m[1] or m[3] or m[6], m[2] or m[4] or m[5]
+    if imag in ("", "+", "-"):  # i, +i, -i, a+i, a-i: the coefficient 1 left out
+        imag += "1"
+    return complex(_real_value(real, line, col) if real else 0.0,
+                   _real_value(imag, line, col) if imag else 0.0)
 
 
 def _check_name(token: str, what: str, line: int, col: int) -> str:

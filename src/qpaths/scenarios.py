@@ -32,7 +32,11 @@ RESERVED_NAMES = frozenset({"three-box", "hardy", "hardy-epsilon"})
 
 @dataclass(frozen=True)
 class Scenario:
-    """One initial state plus named finals and observables over a shared space."""
+    """One initial state plus named finals and observables over a shared space.
+
+    notes holds the warnings of scenario_io.validate (renormalized states,
+    non-orthogonal finals); the built-in scenarios have none.
+    """
 
     name: str
     space: StateSpace
@@ -83,14 +87,6 @@ def three_box(beta: float = 0.5) -> Scenario:
         initial=initial,
         finals={"f": final},
         observables=observables,
-        notes=(
-            f"path amplitudes are (b, -b, -b) with b = {beta:g}",
-            "final state is deliberately scaled rather than unit-norm so the "
-            "path amplitudes and the post-measurement probability b^2 hold at "
-            "full floating-point precision",
-            "checking box 2 or box 3 finds the particle there with certainty; "
-            "the box-1 weak occupation is -1",
-        ),
     )
 
 
@@ -124,16 +120,7 @@ def hardy_epsilon(epsilon: float = 0.5) -> Scenario:
         raise ValueError("epsilon must be positive and finite")
     scenario = hardy()
     final = KetState(scenario.space, [1.0, -1.0, -epsilon, epsilon, 0.0])
-    return replace(
-        scenario,
-        name="hardy-epsilon",
-        finals={**scenario.finals, "f": final},
-        notes=scenario.notes + (
-            f"final 'f' uses amplitudes (1, -1, -e, e, 0) with e = {epsilon:g}, "
-            "renormalized to unit length",
-            "for e != 1 the final family is not mutually orthogonal",
-        ),
-    )
+    return replace(scenario, name="hardy-epsilon", finals={**scenario.finals, "f": final})
 
 
 def built_in(name: str, *, beta: float = 0.5, epsilon: float = 0.5) -> Scenario:

@@ -92,7 +92,7 @@ class StateSpace:
 
 def _frozen_array(values: Iterable[complex], dtype) -> np.ndarray:
     arr = np.array(list(values) if not isinstance(values, np.ndarray) else values,
-                   dtype=dtype).reshape(-1).copy()
+                   dtype=dtype).reshape(-1)
     arr.setflags(write=False)
     return arr
 

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib
+import math
 import operator
 import re
 import shlex
@@ -12,7 +13,7 @@ import numpy as np
 
 import qpaths
 from qpaths.cli import build_parser, main
-from qpaths.scenario_io import QUERY_KINDS
+from qpaths.scenario_io import QUERY_KINDS, parse
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -31,6 +32,21 @@ def test_readme_query_kinds_match_the_parser():
     documented = [name for name in re.findall(r"`([^`]+)`", sentence)
                   if not name.endswith("=")]
     assert documented == list(QUERY_KINDS)
+
+
+def test_readme_number_literals_parse_to_their_python_values():
+    sentence = re.search(r"Number literals:(.*?)Query kinds:", README, re.DOTALL).group(1)
+    literals = re.findall(r"`([^`]+)`", sentence)
+    assert len(literals) == 12
+    for literal in literals:
+        doc = parse(f"dimension = 1\nbasis = x\nstate i = {literal}\nstate f = 1\n"
+                    "query probabilities\n")
+        # Python spells i as 1j and 2i as 2j, and a pair as complex(re, im)
+        python = re.sub(r"(?<![\d.])i", "1i", literal).replace("i", "j")
+        value = eval(python, {"sqrt": math.sqrt})
+        if isinstance(value, tuple):
+            value = complex(*value)
+        assert doc.initial[0] == value, literal
 
 
 def test_readme_command_lines_exit_zero(capsys):

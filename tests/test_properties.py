@@ -223,6 +223,61 @@ def test_parse_real_accepts_exactly_the_grammar_decimals(token):
             _parse_real(token, 1, 1)
 
 
+@st.composite
+def unsigned_reals(draw):
+    """(text, value): a decimal, a small-integer p/q or a small-integer p/sqrt(k)."""
+    form = draw(st.sampled_from(["decimal", "rational", "surd"]))
+    if form == "decimal":
+        x = draw(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+        return repr(x), x
+    p, q = draw(st.integers(0, 999)), draw(st.integers(1, 999))
+    return (f"{p}/{q}", p / q) if form == "rational" else (f"{p}/sqrt({q})", p / math.sqrt(q))
+
+
+signs = st.sampled_from([("", 1.0), ("+", 1.0), ("-", -1.0)])
+
+
+@st.composite
+def state_literals(draw):
+    """(text, value) of a state value in one of the forms the README lists."""
+    def real():
+        (sign, factor), (text, value) = draw(signs), draw(unsigned_reals())
+        return sign + text, factor * value
+
+    form = draw(st.sampled_from(["a", "a+bi", "a-bi", "bi", "i", "(re, im)"]))
+    if form == "a":
+        text, value = real()
+        return text, complex(value, 0.0)
+    if form in ("a+bi", "a-bi"):
+        (a, x), (b, y) = real(), draw(unsigned_reals() | st.just(("", 1.0)))
+        sign = form[1]
+        return f"{a}{sign}{b}i", complex(x, -y if sign == "-" else y)
+    if form == "bi":
+        text, value = real()
+        return text + "i", complex(0.0, value)
+    if form == "i":
+        sign, factor = draw(signs)
+        return sign + "i", complex(0.0, factor)
+    (a, x), (b, y) = real(), real()
+    return f"({a}, {b})", complex(x, y)
+
+
+def bits(z: complex) -> tuple[float, ...]:
+    return (z.real, z.imag, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+
+
+@given(state_literals())
+@example(("-i", complex(0.0, -1.0)))  # a pure imaginary, so +0.0 real part
+@example(("-0.0-0.0i", complex(-0.0, -0.0)))
+@example(("-0/7+1/sqrt(2)i", complex(-0.0, 1 / math.sqrt(2))))
+@settings(max_examples=500)
+def test_every_state_literal_form_parses_to_its_exact_value(literal):
+    text, expected = literal
+    doc = parse(f"dimension = 1\nbasis = x\nstate i = {text}\nstate f = 1\n"
+                "query probabilities\n")
+    assert bits(doc.initial[0]) == bits(expected), text
+
+
 # st.text over explicit alphabets: st.from_regex generated these names
 # several times more slowly than parse reads them back
 LETTERS = string.ascii_letters

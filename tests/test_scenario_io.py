@@ -73,6 +73,23 @@ query probabilities
     assert doc.finals[0][1] == expected
 
 
+def test_rationals_are_exact_quotients_past_the_float_range():
+    ten = "1" + "0" * 401 + "/1" + "0" * 400  # 10**401 / 10**400
+    zeros = "0" * 5000 + "1/" + "0" * 5000 + "2"  # int() reads 4300 digits at most
+    doc = parse(MINIMAL.replace("1/sqrt(2) 1/sqrt(2)", f"{ten} -{zeros}"))
+    assert doc.initial == (10.0, -0.5)
+    negative_zero = parse(MINIMAL.replace("1/sqrt(2) 1/sqrt(2)", "-0/5 1")).initial[0]
+    assert math.copysign(1.0, negative_zero.real) == -1.0
+
+
+def test_literals_past_the_float_range_are_rejected():
+    surd = "1/sqrt(1" + "0" * 400 + ")"  # 1e-200, not 0
+    for bad in (surd, "1" + "0" * 400 + "/sqrt(2)", "1" + "0" * 400 + "/3",
+                "1" + "0" * 5000 + "/3"):
+        expect_error(MINIMAL.replace("1/sqrt(2) 1/sqrt(2)", f"1 {bad}"), 3, 13,
+                     f"literal {bad!r} is not a finite number")
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = MINIMAL.replace("basis = up down",
                            "\n# a comment\nbasis = up down  # trailing")

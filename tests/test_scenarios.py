@@ -5,6 +5,7 @@ from _invariants import transition_probability
 from qpaths import (RESERVED_NAMES, Scenario, UnknownNameError, built_in,
                     built_in_library, decompose, epsilon_grid, hardy,
                     hardy_epsilon, three_box)
+from qpaths.statespace import overlapping_pairs
 
 
 def test_hardy_states_are_exact():
@@ -73,10 +74,14 @@ def test_hardy_epsilon_reduces_to_hardy():
 
 
 def test_hardy_epsilon_finals_overlap_for_small_epsilon():
-    sc = hardy_epsilon(0.25)
-    overlap = abs(np.vdot(sc.final("f").amplitudes, sc.final("g").amplitudes))
-    assert overlap > 0.1
-    assert any("not mutually orthogonal" in note for note in sc.notes)
+    # f = (1, -1, -e, e, 0)/sqrt(2 + 2e^2) stays orthogonal to h, j and gamma
+    for epsilon in (1e-6, 0.25, 2.0):
+        finals = list(hardy_epsilon(epsilon).finals.values())
+        [(a, b, overlap)] = overlapping_pairs(finals)
+        assert (a, b) == (0, 1)  # f and g
+        assert overlap == pytest.approx(abs(1 - epsilon) / np.sqrt(2 + 2 * epsilon ** 2),
+                                        rel=1e-14)
+    assert overlapping_pairs(list(hardy_epsilon(1.0).finals.values())) == []
 
 
 def test_hardy_epsilon_domain():
@@ -88,15 +93,18 @@ def test_hardy_epsilon_domain():
 
 def test_built_in_dispatch():
     assert built_in("hardy").name == "hardy"
-    assert built_in("three-box", beta=0.9).notes[0].endswith("b = 0.9")
+    sc = built_in("three-box", beta=0.9)
+    amps = decompose(sc.initial, sc.final("f")).amplitudes
+    assert np.allclose(amps, [0.9, -0.9, -0.9], atol=1e-15, rtol=0.0)
     assert built_in("hardy-epsilon", epsilon=0.125).name == "hardy-epsilon"
     with pytest.raises(UnknownNameError):
         built_in("unknown")
 
 
 def test_built_in_library_and_reserved_names():
-    names = [sc.name for sc in built_in_library()]
-    assert names == ["three-box", "hardy", "hardy-epsilon"]
+    library = built_in_library()
+    assert [sc.name for sc in library] == ["three-box", "hardy", "hardy-epsilon"]
+    assert [sc.notes for sc in library] == [(), (), ()]  # notes are validate's warnings
     assert RESERVED_NAMES == {"three-box", "hardy", "hardy-epsilon"}
 
 

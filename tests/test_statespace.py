@@ -69,6 +69,22 @@ def test_ket_is_immutable():
         ket.amplitudes[0] = 2.0
 
 
+def test_stored_arrays_are_read_only_and_never_alias_the_input():
+    space = StateSpace(("a", "b"))
+    for given, build, read in (
+            (np.array([0.6, 0.8j]), lambda v: KetState(space, v), "amplitudes"),
+            (np.array([3.0, 4.0j]), lambda v: KetState(space, v), "amplitudes"),
+            (np.array([3.0, 4.0j]), lambda v: KetState(space, v, normalize=False),
+             "amplitudes"),
+            (np.array([[1.0], [2.0]]), lambda v: DiagonalObservable(space, v), "eigenvalues")):
+        stored = getattr(build(given), read)
+        before = stored.copy()
+        assert not stored.flags.writeable
+        assert not np.shares_memory(stored, given)
+        given[...] = 7.0
+        assert np.array_equal(stored, before)
+
+
 def test_inner_conjugates_first_argument():
     # <bra|ket> is the total amplitude of the transition ket -> bra
     space = StateSpace(("a", "b"))
