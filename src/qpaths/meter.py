@@ -240,8 +240,16 @@ def weak_limit_convergence(decomposition: PathDecomposition,
 
 def scaled_widths(observable: DiagonalObservable,
                   ratios: Sequence[float]) -> tuple[float, ...]:
-    """Meter widths as multiples of the observable's eigenvalue spread."""
+    """Meter widths as multiples of the observable's eigenvalue spread; raises
+    ValueError unless the spread and every width lie in (0, inf)."""
     spread = observable.spread
-    if spread <= 0.0:
-        raise ValueError("observable has zero eigenvalue spread; widths have no scale")
-    return tuple(float(r) * spread for r in ratios)
+    if not 0.0 < spread < math.inf:
+        what = ("observable has zero eigenvalue spread" if spread <= 0.0 else
+                "observable's eigenvalue spread exceeds the largest float")
+        raise ValueError(f"{what}; meter widths have no scale")
+    widths = tuple(float(r) * spread for r in ratios)
+    for ratio, width in zip(ratios, widths):
+        if not 0.0 < width < math.inf:
+            raise ValueError(f"width {ratio:g} times the eigenvalue spread "
+                             f"{spread:g} is outside the float range")
+    return widths

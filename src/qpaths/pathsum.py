@@ -26,13 +26,8 @@ from .statespace import KetState, StateSpace
 class PathDecomposition:
     """Per-path amplitudes of one transition |i> -> |f>."""
 
-    initial: KetState
-    final: KetState
+    space: StateSpace
     amplitudes: np.ndarray
-
-    @property
-    def space(self) -> StateSpace:
-        return self.initial.space
 
     @property
     def total_amplitude(self) -> complex:
@@ -55,7 +50,7 @@ def decompose(initial: KetState, final: KetState) -> PathDecomposition:
         raise DimensionMismatch("initial and final states live over different spaces")
     amps = np.conjugate(final.amplitudes) * initial.amplitudes
     amps.setflags(write=False)
-    return PathDecomposition(initial, final, amps)
+    return PathDecomposition(initial.space, amps)
 
 
 def amplitude_table(initial: KetState, finals: Mapping[str, KetState]) -> np.ndarray:

@@ -15,9 +15,10 @@ final states and observables, and at least one query to run:
 (0.25, 1e-3), rational (1/4) or surd (1/sqrt(2)), with an optional sign.
 A state value is a pair ((0.70710678, 0)), a+bi or a-bi with b optional
 (1+2i, -1-0.5i, 1-i), bi (-0.5i), i, +i, -i, or a real; an observable
-value is a real.  Meter widths in queries are given in units of
-the observable's eigenvalue spread.  Errors carry 1-based line and
-column positions and parsing never raises anything else.
+value is a real.  A meter width in a query is a real above zero (width=1/2,
+widths=0.01,1/sqrt(2),100), in units of the observable's eigenvalue spread.
+Digits are ASCII, and a leading byte-order mark is ignored.  Errors carry
+1-based line and column positions and parsing never raises anything else.
 
 The names three-box, hardy, and hardy-epsilon are reserved for the
 built-in scenario library and rejected as document names.
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScenarioParseError, UnknownNameError, ZeroStateError
+from .meter import scaled_widths
 from .statespace import (DiagonalObservable, KetState, StateSpace,
                          overlapping_pairs, unit_scaled)
 from .scenarios import RESERVED_NAMES, Scenario
@@ -50,9 +52,9 @@ QUERY_ARGS: dict[str, tuple[str, ...]] = {
 QUERY_KINDS = tuple(QUERY_ARGS)
 
 # one way to match each text, so no failed match backtracks through its digits
-_DECIMAL = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_RATIONAL = r"\d+/\d+"
-_SURD = r"\d+/sqrt\(\d+\)"
+_DECIMAL = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_RATIONAL = r"[0-9]+/[0-9]+"
+_SURD = r"[0-9]+/sqrt\([0-9]+\)"
 _UREAL = rf"(?:{_SURD}|{_RATIONAL}|{_DECIMAL})"
 _REAL_RE = re.compile(rf"[+-]?{_UREAL}")
 # the state value forms, one alternative each: (re, im); a+bi and a-bi,
@@ -245,7 +247,7 @@ def parse(text: str) -> ScenarioDocument:
             if dimension is not None:
                 raise ScenarioParseError("duplicate 'dimension' line", lineno, kcol)
             _expect_equals(tokens, 1, lineno)
-            if len(tokens) != 3 or not re.fullmatch(r"\d+", tokens[2][0]):
+            if len(tokens) != 3 or not re.fullmatch(r"[0-9]+", tokens[2][0]):
                 col = tokens[2][1] if len(tokens) > 2 else kcol
                 raise ScenarioParseError("dimension must be a positive integer", lineno, col)
             dimension = int(tokens[2][0])
@@ -357,21 +359,20 @@ def parse(text: str) -> ScenarioDocument:
 
 
 def _query_error(q: QueryDirective, key: str, message: str) -> ScenarioParseError:
-    col = 1
-    for (k, _), c in zip(q.arguments, q.columns):
-        if k == key:
-            col = c
-            break
+    col = next((c for (k, _), c in zip(q.arguments, q.columns) if k == key), 1)
     return ScenarioParseError(message, q.line, col)
 
 
 def _positive_number(text: str, key: str = "width") -> float:
+    """A meter width ratio: a real literal, read as a state value is, above zero."""
+    if not _REAL_RE.fullmatch(text):
+        raise ValueError(f"{key} must be a number, got {text!r}")
     try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"{key} must be a number, got {text!r}") from None
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{key} must be positive and finite, got {text!r}")
+        value = _real_value(text, 0, 0)
+    except ScenarioParseError as exc:  # the caller knows where the text stands
+        raise ValueError(exc.message) from None
+    if value <= 0.0:
+        raise ValueError(f"{key} must be positive, got {text!r}")
     return value
 
 
@@ -406,20 +407,15 @@ def _check_query(q: QueryDirective, scenario: Scenario) -> None:
             except UnknownNameError as exc:
                 raise _query_error(q, key, str(exc)) from None
     if q.kind in ("mean-reading", "scan"):
-        spread = named["obs"].spread
-        if not 0.0 < spread < math.inf:
-            what = ("observable has zero eigenvalue spread" if spread <= 0.0 else
-                    "observable's eigenvalue spread exceeds the largest float")
-            raise _query_error(q, "obs", f"{what}; meter widths have no scale")
-        key = QUERY_ARGS[q.kind][-1]
+        obs, key = named["obs"], QUERY_ARGS[q.kind][-1]
         try:
-            ratios = np.atleast_1d(QUERY_VALUE_TYPES[key](q.argument(key))).tolist()
+            scaled_widths(obs, ())
+        except ValueError as exc:
+            raise _query_error(q, "obs", str(exc)) from None
+        try:
+            scaled_widths(obs, np.atleast_1d(QUERY_VALUE_TYPES[key](q.argument(key))))
         except ValueError as exc:
             raise _query_error(q, key, str(exc)) from None
-        for ratio in ratios:
-            if not 0.0 < ratio * spread < math.inf:
-                raise _query_error(q, key, f"width {ratio:g} times the eigenvalue spread "
-                                   f"{spread:g} is outside the float range")
     if q.kind in ("sum-rule", "product-rule"):
         first, second = named["obs"], named["obs2"]
         for key, obs in (("obs", first), ("obs2", second)):
@@ -511,5 +507,5 @@ def serialize(doc: ScenarioDocument) -> str:
 
 def load_path(path) -> ScenarioDocument:
     """Parse a scenario file from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse(handle.read())

@@ -117,8 +117,9 @@ class KetState:
                 f"state has {arr.size} amplitudes, space has dimension {space.dimension}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("amplitudes must be finite")
-        if normalize:
-            arr = _frozen_array(unit_scaled(arr)[0], complex)
+        if normalize:  # arr itself, or a fresh array that nothing else holds
+            arr = unit_scaled(arr)[0]
+        arr.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "amplitudes", arr)
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -445,8 +446,8 @@ def test_usage_error_exits_two():
 
 
 @pytest.mark.parametrize("widths, message", [
-    ("inf", "widths must be positive and finite, got 'inf'"),
-    ("1,nan", "widths must be positive and finite, got 'nan'"),
+    ("inf", "widths must be a number, got 'inf'"),
+    ("1,nan", "widths must be a number, got 'nan'"),
     ("1,x", "widths must be a number, got 'x'"),
     (",", "widths must be a comma-separated list"),
 ])
@@ -462,3 +463,63 @@ def test_widths_are_parsed_as_a_scan_query_parses_them(tmp_path, capsys, widths,
                       encoding="utf-8")
     assert main(["run", str(target)]) == 2
     assert message in capsys.readouterr().err
+
+
+WIDTH_SCN = ("dimension = 2\nbasis = a b\nstate i = 1 1\nstate f = 1 0.5\n"
+             "observable A = 1 0\n")
+
+
+@pytest.mark.parametrize("form, value", [
+    ("0.25", 0.25), ("1e-3", 1e-3), ("1/4", 0.25), ("1/sqrt(2)", 1 / math.sqrt(2)),
+    ("+.5", 0.5), ("5.", 5.0),
+])
+def test_width_literals_read_as_their_decimal_values(tmp_path, capsys, form, value):
+    # width=, widths= and --widths read a real as a state value is read
+    outputs = []
+    for text in (form, repr(value)):
+        target = tmp_path / "widths.scn"
+        target.write_text(WIDTH_SCN + f"query mean-reading final=f obs=A width={text}\n"
+                          f"query scan final=f obs=A widths=1,{text}\n", encoding="utf-8")
+        run = run_cli(capsys, "run", str(target), "--format", "csv")
+        sweep = run_cli(capsys, "sweep-width", "--final", "f", "--obs", "N(1-|1+)",
+                        "--widths", text, "--format", "csv")
+        assert run[0] == sweep[0] == 0
+        outputs.append((run[1], sweep[1]))
+    assert outputs[0] == outputs[1]
+    assert f"f,A,{value:.12g},{value:.12g}," in outputs[0][0]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1_0", "{key} must be a number, got '1_0'"),
+    ("\u0661", "{key} must be a number, got '\u0661'"),
+    ("1e1_0", "{key} must be a number, got '1e1_0'"),
+    ("inf", "{key} must be a number, got 'inf'"),
+    ("nan", "{key} must be a number, got 'nan'"),
+    ("0", "{key} must be positive, got '0'"),
+    ("-1", "{key} must be positive, got '-1'"),
+    ("1/0", "division by zero in '1/0'"),
+    ("1e999", "literal '1e999' is not a finite number"),
+], ids=["underscore", "arabic-indic", "exponent-underscore", "inf", "nan", "zero",
+        "negative", "division-by-zero", "past-the-float-range"])
+def test_bad_widths_are_rejected_alike_in_every_place(tmp_path, capsys, text, message):
+    target = tmp_path / "widths.scn"
+    for key, query, column in (("width", f"mean-reading final=f obs=A width={text}", 34),
+                               ("widths", f"scan final=f obs=A widths=1,{text}", 26)):
+        target.write_text(WIDTH_SCN + f"query {query}\n", encoding="utf-8")
+        assert run_cli(capsys, "run", str(target)) == (
+            2, "", f"error: {target}: line 6, column {column}: {message.format(key=key)}\n")
+    with pytest.raises(SystemExit) as err:
+        main(["sweep-width", "--final", "f", "--obs", "N(1-|1+)", "--widths", text])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --widths: {message.format(key='widths')}\n")
+
+
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys):
+    original = DATA / "all_queries.scn"
+    marked = tmp_path / "all_queries.scn"
+    marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    for fmt in ("table", "csv", "json"):
+        expected = run_cli(capsys, "run", str(original), "--format", fmt)
+        assert run_cli(capsys, "run", str(marked), "--format", fmt)[:2] == expected[:2]
+        assert expected[0] == 0

@@ -179,6 +179,28 @@ def test_scaled_widths():
         scaled_widths(zero_spread, (1.0,))
 
 
+@pytest.mark.parametrize("eigenvalues, ratio, message", [
+    ((2.0, 2.0), 1.0, "observable has zero eigenvalue spread; meter widths have no scale"),
+    ((1e308, -1e308), 1.0,
+     "observable's eigenvalue spread exceeds the largest float; meter widths have no scale"),
+    ((1e307, 0.0), 100.0,
+     "width 100 times the eigenvalue spread 1e+307 is outside the float range"),
+    ((1e-300, 0.0), 1e-300,
+     "width 1e-300 times the eigenvalue spread 1e-300 is outside the float range"),
+], ids=["zero-spread", "spread-overflows", "width-overflows", "width-underflows"])
+def test_scaled_widths_returns_only_widths_in_the_float_range(eigenvalues, ratio, message):
+    obs = DiagonalObservable(StateSpace.of_dimension(2), eigenvalues)
+    with pytest.raises(ValueError) as err:
+        scaled_widths(obs, (0.5, ratio))
+    assert str(err.value) == message
+
+
+def test_scaled_widths_round_each_width_once():
+    obs = DiagonalObservable(StateSpace.of_dimension(3), (0.3, 0.0, -1.1))
+    ratios = (1e-3, 1 / 3, 0.7, 100.0)
+    assert scaled_widths(obs, ratios) == tuple(r * obs.spread for r in ratios)
+
+
 def test_strong_limit_matches_conditional_average_elsewhere():
     sc = hardy()
     dec = decompose(sc.initial, sc.final("j"))

@@ -131,6 +131,15 @@ def test_error_state_before_basis():
     expect_error("dimension = 2\nstate i = 1 0\n", 2, 1, "requires 'dimension' and 'basis'")
 
 
+def test_non_ascii_digits_are_rejected_where_they_stand():
+    # \d would match them, and int() and float() would read them
+    expect_error("dimension = \u0662\n", 1, 13, "dimension must be a positive integer")
+    expect_error("dimension = 2\nbasis = a b\nstate i = \u0661 \u0660\n", 3, 11,
+                 "bad real literal '\u0661'")
+    expect_error("dimension = 2\nbasis = a b\nobservable P = \u0661 0\n", 3, 16,
+                 "bad real literal '\u0661'")
+
+
 def test_error_wrong_value_count():
     expect_error("dimension = 2\nbasis = a b\nstate i = 1 0 0\n", 3, 1,
                  "expected 2 values")
@@ -318,4 +327,6 @@ query scan final=out obs=OBS widths=0.5,5,50
 def test_load_path(tmp_path):
     target = tmp_path / "mini.scn"
     target.write_text(MINIMAL, encoding="utf-8")
+    assert load_path(target) == parse(MINIMAL)
+    target.write_text("\ufeff" + MINIMAL, encoding="utf-8")  # a leading byte-order mark
     assert load_path(target) == parse(MINIMAL)
