@@ -19,39 +19,55 @@ symmetry of Re(A_a conj(A_b)) K_ab,
 
 Since Re(A_a conj(A_b)) = Re A_a Re A_b + Im A_a Im A_b, the rows are a
 kernel-vector product, R_a = Re A_a (K Re A)_a + Im A_a (K Im A)_a, with
-P = [Re A, Im A].  Two kernels compute it, picked from the width and the
-spectrum's spread s = max a - min a alone:
+P = [Re A, Im A].  So both meter sums are Gauss transforms over the k classes:
+the rows R with targets at the eigenvalues, and the pointer amplitude with
+targets at the pointer positions.  Two kernels compute them.
 
-Wide meters, w >= s, with more classes than one block (k > BLOCK_ROWS).
-About the spectrum's midpoint c = min a + s/2 put u_a = ((a - c)/w)/sqrt(8),
-so that K_ab = exp(-(u_a - u_b)^2) = exp(-u_a^2) exp(-u_b^2) exp(2 u_a u_b).
-Expanding the last factor in its Taylor series splits it over a and b,
+The factored kernel, over more than one block of classes (k > BLOCK_ROWS).
+About the spectrum's midpoint c = min a + s/2, s = max a - min a, put
+u_a = ((a - c)/w)/sqrt(8), so that K_ab = exp(-(u_a - u_b)^2) =
+exp(-u_a^2) exp(-u_b^2) exp(2 u_a u_b).  Expanding the last factor in its
+Taylor series splits it over a and b,
 
     K_ab = sum_m U_am U_bm,    U_am = exp(-u_a^2) u_a^m sqrt(2^m / m!),
 
 the truncated factorization behind the improved fast Gauss transform
-(Greengard & Strain 1991; Yang, Duraiswami, Gumerov & Davis 2003).
-Keeping m < p gives R_a = P_a . (U (U^T P))_a in O(k p) time and memory, a
-k x p array instead of k^2/2 exponentials.  Since |a - c| <= s/2 <= w/2, every
-|u_a| <= 1/(2 sqrt(8)) and |x| = |2 u_a u_b| <= 1/16.  The Lagrange form of
-the dropped tail of exp(x) is e^xi x^p/p! with xi between 0 and x, and
-xi - x <= |x|, so relative to exp(x), and so to every kernel entry K_ab,
-it is at most (1/16)^p/p! e^(1/16).  WIDE_RANK = 10 is the smallest p that
-keeps this under 2^-60, far below the rounding error of the dense sum it
-replaces.  Every |U_am| <= 1, so no width overflows it.
+(Greengard & Strain 1991; Yang, Duraiswami, Gumerov & Davis 2003), with one
+box about c.  Keeping m < p gives R_a = P_a . (U (U^T P))_a in O(k p) time and
+memory, a p x k array instead of k^2/2 exponentials.  Each term has
+|U_am U_bm| = exp(-u_a^2 - u_b^2) y^m/m! with y = |2 u_a u_b|, so the series
+of absolute values sums to exp(-(|u_a| - |u_b|)^2) <= 1, and its tail from
+m = p on, at most y^p/p! e^y times exp(-u_a^2 - u_b^2), is at most y^p/p!.
+Every |u_a| <= s/(2 sqrt(8) w), so y <= x = s^2/(16 w^2) and the dropped
+tail is at most x^p/p!: absolute, against the largest kernel entry K_aa = 1.
+The rank p is the smallest with that tail under 2^-60, taken at
+max(x, 1/16) (taylor_rank).  A meter at least as wide as the spectrum has
+x <= 1/16, so every wide meter keeps p = 10, the rank it has always had,
+and the same arithmetic to the last bit; without the floor a very wide
+meter would take fewer terms and move its noise digits.  The kernel runs
+while p <= MAX_RANK = 64, a 1 MB array at k = 2048: a meter of 0.1 spreads
+(x = 6.25) takes p = 43, and one of 0.01 spreads (x = 625, p about 1700)
+keeps the dense kernel.  Every |U_am| <= 1, so no width overflows it.
 
-Narrow meters, w < s, and any meter over k <= BLOCK_ROWS classes: the
-dense blocked kernel.  The classes are cut into blocks of BLOCK_ROWS,
-and K is symmetric: K_JI is the transpose of K_IJ, exactly, since
-b - a = -(a - b) in floating point.  So each pair of blocks I <= J is
-built once and multiplied by the rows of P on both sides, giving the
-terms of R over I and, when J != I, those over J.  A mean reading over
-k classes holds O(BLOCK_ROWS^2) floats, never a k x k array nor a
-BLOCK_ROWS x k one.
-Within one block the dense kernel is already cheap, and for a narrow
-meter |2 u_a u_b| reaches s^2/(16 w^2) > 1/16, so the series would need
-more terms the narrower the meter.
-The pointer amplitude sums over the same blocks of classes.
+The pointer amplitude is the same transform at scale 2w, sources at the
+classes and targets at the pointer positions: G(x - a) = G(0) exp(-(t - v_a)^2)
+with v_a = (a - c)/(2w), every |v_a| <= h = s/(4w), and t = (x - c)/(2w).  A
+target with |t| >= h + R, R = sqrt(60 ln 2), lies past the cutoff radius
+(Raykar, Yang, Duraiswami & Gumerov 2005): every entry in its row, and the
+truncated series too, is at most exp(-(|t| - h)^2) <= 2^-60, so it reads 0.
+The rank is taken at x = 2 h max(h, |t|) over the targets within the cutoff
+(h itself keeps the sources' factors in range however close the targets
+sit), and past MAX_RANK the dense loop below runs instead.
+
+The dense blocked kernel, over k <= BLOCK_ROWS classes and for meters too
+narrow for MAX_RANK.  The classes are cut into blocks of BLOCK_ROWS, and K is
+symmetric: K_JI is the transpose of K_IJ, exactly, since b - a = -(a - b) in
+floating point.  So each pair of blocks I <= J is built once and multiplied
+by the rows of P on both sides, giving the terms of R over I and, when
+J != I, those over J.  A mean reading over k classes holds O(BLOCK_ROWS^2)
+floats, never a k x k array nor a BLOCK_ROWS x k one.  Within one block the
+dense kernel is already cheap.  The pointer amplitude sums over the same
+blocks of classes.
 
 Two limits bracket the meter.  As w -> 0, K -> I: the cross terms die,
 R_a = |A_a|^2, and the mean is the eigenvalue average under the
@@ -65,12 +81,20 @@ distribution).  Class sums off by d_a, sum_a |d_a| <= rho =
 PathDecomposition.rounding, move W by W(d) - 2 Re(d^H K A), in
 [-2 rho S, rho^2] for S = sum_a |A_a|.  Computing W rounds each term (whose
 absolute values total at most S^2) at most 2k + 2 times by u = eps/2, and a
-K_ab is off by at most 4u (the 5u relative error of its argument x, times
-|x| e^x <= 1/e, plus exp's rounding): (2k + 6) u S^2 <= c k eps S^2, c = 6.
-The wide kernel's 2k + 12 roundings and 44u factor error, against entries
-summing to at most e^(1/16), fit too.  So W counts as zero when
-W <= 2 rho S + rho^2 + 6 k eps S^2 (PathwayNetwork.vanishes, with W, A and rho
-at the one exact power-of-two scale of PathwayNetwork.scaled).
+K_ab is off by at most 4u (the 5u relative error of its argument z, times
+|z| e^z <= 1/e, plus exp's rounding): (2k + 6) u S^2 <= c k eps S^2, c = 6.
+The factored kernel drops at most 2^-60 = eps/256 per entry, so 2^-60 S^2 in
+W.  Each U_am is a product of m + 1 factors: m steps u_a sqrt(2/j), each
+within 8u of exact (u_a's own four roundings included), and exp(-u_a^2),
+within (9 u_a^2 + 1)u <= (5x + 1)u.  So it is off by at most (8m + 5x + 2)u
+relatively and, as sum_m |U_am U_bm| <= 1, an entry by at most
+(16p + 10x + 5)u; the two products and the sums add (2k + p + 2)u S^2.  A
+rank meeting the bound has x < p (else x^p/p! >= p^p/p! >= 1), so at
+p <= MAX_RANK = 64 the whole is at most (2k + 27p + 7)u S^2 + 2^-60 S^2,
+under 12 k u S^2 = 6 k eps S^2 for every k > BLOCK_ROWS = 256 (k >= 174
+would do).  So W counts as zero when W <= 2 rho S + rho^2 + 6 k eps S^2
+(PathwayNetwork.vanishes, with W, A and rho at the one exact power-of-two
+scale of PathwayNetwork.scaled).
 """
 
 from __future__ import annotations
@@ -92,10 +116,11 @@ from .statespace import DiagonalObservable
 # and a reading amplitude forms the pointer sum one block of terms at a time
 BLOCK_ROWS = 256
 
-# Taylor terms kept in the wide-meter kernel: the smallest p with
-# (1/16)^p/p! e^(1/16) < 2^-60 (see the module docstring)
-WIDE_RANK = 10
-_TAYLOR_STEPS = np.sqrt(2.0 / np.arange(1, WIDE_RANK))[:, np.newaxis]
+# most Taylor terms the factored kernel keeps; a narrower meter takes the dense one
+MAX_RANK = 64
+_TAYLOR_STEPS = np.sqrt(2.0 / np.arange(1, MAX_RANK))[:, np.newaxis]
+# cutoff radius of the pointer sum: exp(-CUTOFF^2) = 2^-60
+CUTOFF = math.sqrt(60.0 * math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -133,12 +158,60 @@ def reading_amplitude(decomposition: PathDecomposition,
     parts = network.amplitudes.view(float).reshape(-1, 2)
     x = np.asarray(x, dtype=float)
     # the pointer is real, so the sum is a real product with [Re A, Im A]
-    sums = np.zeros(x.shape + (2,))
-    for start in range(0, values.size, BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        sums += meter.pointer_amplitude(x[..., np.newaxis] - values[block]) @ parts[block]
+    sums = (_factored_pointer(values, parts, meter.width, observable.spread, x)
+            if values.size > BLOCK_ROWS else None)
+    if sums is None:
+        sums = np.zeros(x.shape + (2,))
+        for start in range(0, values.size, BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            sums += meter.pointer_amplitude(x[..., np.newaxis] - values[block]) @ parts[block]
+    else:
+        sums *= meter.pointer_amplitude(0.0)
     result = sums.view(complex)[..., 0]
     return complex(result) if result.ndim == 0 else result
+
+
+def taylor_rank(x: float) -> int:
+    """Smallest p with x^p/p! < 2^-60, taken at max(x, 1/16); MAX_RANK + 1 when
+    no p up to MAX_RANK meets it (see the module docstring)."""
+    x = max(x, 1.0 / 16.0)
+    tail = 1.0
+    for p in range(1, MAX_RANK + 1):
+        tail *= x / p
+        if tail < 2.0 ** -60:
+            return p
+    return MAX_RANK + 1
+
+
+def _taylor_factors(u: np.ndarray, rank: int) -> np.ndarray:
+    """The rank x u.size array U^T: row m holds exp(-u^2) u^m sqrt(2^m/m!)."""
+    # row m is row m - 1 times u sqrt(2/m)
+    factors = np.empty((rank, u.size))
+    np.exp(-np.square(u), out=factors[0])
+    np.multiply(_TAYLOR_STEPS[:rank - 1], u, out=factors[1:])
+    for m in range(1, rank):
+        factors[m] *= factors[m - 1]
+    return factors
+
+
+def _factored_pointer(values: np.ndarray, parts: np.ndarray, width: float,
+                      spread: float, x: np.ndarray) -> np.ndarray | None:
+    """sum_a exp(-((x - a)/(2w))^2) P_a from the Taylor factors, 0 past the cutoff;
+    None when the rank passes MAX_RANK."""
+    edge = 0.25 * spread / width
+    # no target takes fewer terms than this; past it, skip t, which could overflow
+    if taylor_rank(2.0 * edge * edge) > MAX_RANK:
+        return None
+    centre = values[-1] + 0.5 * spread
+    t = (x - centre) / (2.0 * width)
+    near = np.abs(t) < edge + CUTOFF
+    rank = taylor_rank(2.0 * edge * float(np.abs(t[near]).max(initial=edge)))
+    if rank > MAX_RANK:
+        return None
+    sources = _taylor_factors((values - centre) / (2.0 * width), rank)
+    sums = np.zeros(x.shape + (2,))
+    sums[near] = _taylor_factors(t[near], rank).T @ (sources @ parts)
+    return sums
 
 
 def _blocked_rows(values: np.ndarray, parts: np.ndarray, width: float) -> np.ndarray:
@@ -160,16 +233,11 @@ def _blocked_rows(values: np.ndarray, parts: np.ndarray, width: float) -> np.nda
     return rows
 
 
-def _wide_rows(values: np.ndarray, parts: np.ndarray, width: float,
-               spread: float) -> np.ndarray:
-    """R_a = P_a . (U (U^T P))_a from the rank-WIDE_RANK factorization of K; w >= spread."""
+def _factored_rows(values: np.ndarray, parts: np.ndarray, width: float,
+                   spread: float, rank: int) -> np.ndarray:
+    """R_a = P_a . (U (U^T P))_a from the rank-p Taylor factorization of K."""
     u = (values - (values[-1] + 0.5 * spread)) / width / np.sqrt(8.0)
-    # row m is column m of U: exp(-u^2) times the steps u sqrt(2/j) for j = 1..m
-    factors = np.empty((WIDE_RANK, u.size))
-    np.exp(-np.square(u), out=factors[0])
-    np.multiply(_TAYLOR_STEPS, u, out=factors[1:])
-    for m in range(1, WIDE_RANK):
-        factors[m] *= factors[m - 1]
+    factors = _taylor_factors(u, rank)
     return np.einsum("ij,ij->i", factors.T @ (factors @ parts), parts)
 
 
@@ -183,8 +251,9 @@ def mean_reading(decomposition: PathDecomposition,
     # <x> is a ratio of quadratic forms in A, so the record's exact scale keeps every bit
     parts = network.scaled[0].view(float).reshape(-1, 2)
     spread = observable.spread
-    if values.size > BLOCK_ROWS and meter.width >= spread:
-        rows = _wide_rows(values, parts, meter.width, spread)
+    ratio = spread / meter.width
+    if values.size > BLOCK_ROWS and (rank := taylor_rank(ratio * ratio / 16.0)) <= MAX_RANK:
+        rows = _factored_rows(values, parts, meter.width, spread, rank)
     else:
         rows = _blocked_rows(values, parts, meter.width)
     denominator = float(rows.sum())

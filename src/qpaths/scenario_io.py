@@ -16,7 +16,8 @@ final states and observables, and at least one query to run:
 A state value is a pair ((0.70710678, 0)), a+bi or a-bi with b optional
 (1+2i, -1-0.5i, 1-i), bi (-0.5i), i, +i, -i, or a real; an observable
 value is a real.  A meter width in a query is a real above zero (width=1/2,
-widths=0.01,1/sqrt(2),100), in units of the observable's eigenvalue spread.
+widths=0.01,1/sqrt(2),100, no entry empty), in units of the observable's
+eigenvalue spread.
 Digits are ASCII, and a leading byte-order mark is ignored.  Errors carry
 1-based line and column positions and parsing never raises anything else.
 
@@ -378,8 +379,8 @@ def _positive_number(text: str, key: str = "width") -> float:
 
 def _width_list(text: str) -> tuple[float, ...]:
     """Meter widths (scan queries, --widths): positive numbers, comma-separated."""
-    parts = [p for p in text.split(",") if p]
-    if not parts:
+    parts = text.split(",")
+    if not all(parts):
         raise ValueError("widths must be a comma-separated list")
     return tuple(_positive_number(part, "widths") for part in parts)
 

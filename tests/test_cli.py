@@ -515,6 +515,21 @@ def test_bad_widths_are_rejected_alike_in_every_place(tmp_path, capsys, text, me
         f"error: argument --widths: {message.format(key='widths')}\n")
 
 
+@pytest.mark.parametrize("text", [",1,,2,", "1,,2", ",,1", "1,", ",1", ","])
+def test_empty_width_entries_are_rejected_alike_in_every_place(tmp_path, capsys, text):
+    # no entry is dropped: "1,,2" is not the list 1, 2
+    message = "widths must be a comma-separated list"
+    target = tmp_path / "widths.scn"
+    target.write_text(WIDTH_SCN + f"query scan final=f obs=A widths={text}\n",
+                      encoding="utf-8")
+    assert run_cli(capsys, "run", str(target)) == (
+        2, "", f"error: {target}: line 6, column 26: {message}\n")
+    with pytest.raises(SystemExit) as err:
+        main(["sweep-width", "--final", "f", "--obs", "N(1-|1+)", f"--widths={text}"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --widths: {message}\n")
+
+
 def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys):
     original = DATA / "all_queries.scn"
     marked = tmp_path / "all_queries.scn"

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qpaths import (DiagonalObservable, KetState, MeterModel,
                     hardy_epsilon, mean_reading, reading_amplitude, scaled_widths,
                     three_box, weak_limit_convergence, weak_value)
 from qpaths.measurement import PathwayNetwork
-from qpaths.meter import BLOCK_ROWS, WIDE_RANK
+from qpaths.meter import BLOCK_ROWS, MAX_RANK, taylor_rank
 from qpaths.oracle import MEAN_READING_TOL, WIDTH_RATIOS
 
 
@@ -356,6 +357,10 @@ def wide_spectrum(name, k, rng):
     return 1e12 + rng.permutation(k)
 
 
+# narrow meters on either side of MAX_RANK, and wide ones
+SWEEP_RATIOS = (0.01, 0.03, 0.1, 0.3, 0.99, 1.0, 1.5, 10.0, 100.0, 1e6)
+
+
 @pytest.mark.parametrize("k", [257, 600, 2048])
 @pytest.mark.parametrize("spectrum", ["permutation", "normal", "clustered", "offset"])
 def test_wide_meter_matches_blocked_kernel(k, spectrum):
@@ -365,7 +370,7 @@ def test_wide_meter_matches_blocked_kernel(k, spectrum):
     class_amplitudes = PathwayNetwork.of(dec, obs).amplitudes
     # the across-blocks tolerance, for eigenvalues of size up to max |a| instead of 2
     scale = float(np.sum(np.abs(dec.amplitudes) ** 2) * np.abs(obs.eigenvalues).max())
-    for width in scaled_widths(obs, (1.0, 1.5, 10.0, 100.0, 1e6)) + (1e308,):
+    for width in scaled_widths(obs, SWEEP_RATIOS) + (1e308,):
         numerator, denominator = blocked_mean_reading(obs.classes.values, class_amplitudes,
                                                       width)
         with warnings.catch_warnings():
@@ -375,7 +380,40 @@ def test_wide_meter_matches_blocked_kernel(k, spectrum):
                                         abs=1e-12 * scale / abs(denominator))
 
 
-@pytest.mark.parametrize("k, ratio", [(BLOCK_ROWS, 100.0), (600, 0.99)])
+@pytest.mark.parametrize("k", [257, 600, 2048])
+@pytest.mark.parametrize("spectrum", ["permutation", "normal", "clustered", "offset"])
+def test_factored_pointer_sum_matches_dense_sum(k, spectrum):
+    space, dec, rng = random_transition(k, 19)
+    obs = DiagonalObservable(space, wide_spectrum(spectrum, k, rng))
+    assert obs.classes.values.size == k > BLOCK_ROWS
+    evs, amps = obs.eigenvalues, dec.amplitudes
+    for width in scaled_widths(obs, SWEEP_RATIOS):
+        # every shifted packet out to eight widths, as the benchmark's pointer grid
+        x = np.linspace(evs.min() - 8 * width, evs.max() + 8 * width, 512)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = reading_amplitude(dec, obs, MeterModel(width), x)
+        np.testing.assert_allclose(
+            psi, dense_reading_amplitude(evs, amps, width, x), rtol=0.0,
+            atol=1e-12 * (2 * np.pi * width ** 2) ** -0.25 * float(np.abs(amps).sum()))
+
+
+def test_factored_pointer_sum_reads_zero_only_past_the_cutoff():
+    # targets out to 40 widths: past the cutoff every pointer term is below 2^-60
+    space, dec, rng = random_transition(600, 23)
+    obs = DiagonalObservable(space, rng.normal(size=600))
+    width = obs.spread
+    x = np.linspace(obs.eigenvalues.min() - 40 * width, obs.eigenvalues.max() + 40 * width,
+                    801)
+    psi = reading_amplitude(dec, obs, MeterModel(width), x)
+    dense = dense_reading_amplitude(obs.eigenvalues, dec.amplitudes, width, x)
+    peak = (2 * np.pi * width ** 2) ** -0.25 * float(np.abs(dec.amplitudes).sum())
+    np.testing.assert_allclose(psi, dense, rtol=0.0, atol=1e-12 * peak)
+    assert np.all(np.abs(dense[psi == 0]) <= 2.0 ** -60 * peak)
+    assert 0 < np.count_nonzero(psi == 0) < x.size
+
+
+@pytest.mark.parametrize("k, ratio", [(BLOCK_ROWS, 100.0), (600, 0.01)])
 def test_dense_kernel_kept_within_one_block_and_for_narrow_meters(k, ratio):
     # the dense kernel to the last bit, so outputs over these classes do not move
     space, dec, rng = random_transition(k, 17)
@@ -392,9 +430,22 @@ def test_wide_meter_builds_no_kernel_block(ratio):
     assert mean_reading_peak(ratio) < BLOCK_ROWS * BLOCK_ROWS * 8
 
 
-def test_wide_rank_is_smallest_meeting_the_tail_bound():
-    # relative tail of exp(x) after p Taylor terms for |x| <= 1/16
-    def tail(p):
-        return (1.0 / 16.0) ** p / math.factorial(p) * math.exp(1.0 / 16.0)
+@pytest.mark.parametrize("x", [0.0, 2.0 ** -20, 0.03, 1 / 16, 0.0625000001, 0.5, 1.0, 2.125,
+                               6.25, 12.0, 12.75, 13.0, 625.0, 1e300])
+def test_taylor_rank_is_smallest_meeting_the_tail_bound(x):
+    # the dropped tail of the factored kernel after p terms, x^p/p!, taken at x >= 1/16
+    bound = max(Fraction(x), Fraction(1, 16))
 
-    assert tail(WIDE_RANK) < 2.0 ** -60 <= tail(WIDE_RANK - 1)
+    def tail(p):
+        return bound ** p / math.factorial(p)
+
+    # MAX_RANK + 1 stands for every rank past MAX_RANK
+    smallest = next((p for p in range(1, MAX_RANK + 1) if tail(p) < Fraction(1, 2 ** 60)),
+                    MAX_RANK + 1)
+    assert taylor_rank(x) == smallest
+
+
+def test_every_wide_meter_keeps_ten_taylor_terms():
+    # a meter at least as wide as the spectrum has x <= 1/16
+    assert {taylor_rank(r * r / 16.0) for r in (1.0, 0.5, 1e-3, 1e-200, 0.0)} == {10}
+    assert taylor_rank(1.0 / 16.0) == 10

@@ -1,9 +1,13 @@
+import numpy as np
 import pytest
 
 from _invariants import class_values
-from qpaths import (MeterModel, build_network, decompose, grid_mean_reading,
-                    hardy, mean_reading, projective_joint, scaled_widths,
-                    three_box, verification_checks)
+from qpaths import (DiagonalObservable, KetState, MeterModel, StateSpace,
+                    build_network, decompose, grid_mean_reading, hardy, mean_reading,
+                    projective_joint, reading_amplitude, scaled_widths, three_box,
+                    verification_checks)
+from qpaths import meter
+from qpaths.meter import BLOCK_ROWS
 
 
 def test_projective_joint_matches_networks_everywhere():
@@ -53,3 +57,18 @@ def test_verification_checks_all_pass():
     assert any(name.startswith("projective three-box") for name in names)
     assert any(name.startswith("mean-reading hardy-epsilon") for name in names)
     assert names[-1] == "grid-refinement hardy"
+
+
+def test_verification_never_reaches_the_factored_kernel(monkeypatch):
+    # the grid oracle checks the closed form with its own dense pointer sum
+    def refuse(*args):
+        raise AssertionError("factored kernel reached")
+
+    monkeypatch.setattr(meter, "_taylor_factors", refuse)
+    checks = verification_checks()
+    assert checks and all(check.passed for check in checks)
+    space = StateSpace.of_dimension(BLOCK_ROWS + 1)
+    evs = np.arange(BLOCK_ROWS + 1.0)
+    dec = decompose(KetState(space, np.ones(BLOCK_ROWS + 1)), KetState(space, evs + 1.0))
+    with pytest.raises(AssertionError, match="factored kernel reached"):
+        reading_amplitude(dec, DiagonalObservable(space, evs), MeterModel(evs[-1]), 0.0)
