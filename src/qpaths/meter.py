@@ -64,10 +64,18 @@ narrow for MAX_RANK.  The classes are cut into blocks of BLOCK_ROWS, and K is
 symmetric: K_JI is the transpose of K_IJ, exactly, since b - a = -(a - b) in
 floating point.  So each pair of blocks I <= J is built once and multiplied
 by the rows of P on both sides, giving the terms of R over I and, when
-J != I, those over J.  A mean reading over k classes holds O(BLOCK_ROWS^2)
-floats, never a k x k array nor a BLOCK_ROWS x k one.  Within one block the
-dense kernel is already cheap.  The pointer amplitude sums over the same
-blocks of classes.
+J != I, those over J.  K_ab < 2^-60 exactly when |a - b| exceeds the reach
+sqrt(8) R w (R the cutoff above).  The eigenvalues descend, so a pair whose
+closest classes, the last of I and the first of J, lie farther apart than
+the reach holds only such entries, and it is skipped: the truncation the
+factored kernel pays.  A narrow meter over a wide spectrum so builds only
+the band of pairs within the reach.  The first pair, the first block with
+itself, is the largest, and every pair built after it fills a contiguous
+prefix of its kernel, one buffer per call, laid out as a fresh array would
+be; so the terms of a kept pair do not change in the last bit.  A mean
+reading over k classes holds O(BLOCK_ROWS^2) floats, never a k x k array nor
+a BLOCK_ROWS x k one.  Within one block the dense kernel is already cheap.
+The pointer amplitude sums over the same blocks of classes.
 
 Two limits bracket the meter.  As w -> 0, K -> I: the cross terms die,
 R_a = |A_a|^2, and the mean is the eigenvalue average under the
@@ -83,6 +91,10 @@ PathDecomposition.rounding, move W by W(d) - 2 Re(d^H K A), in
 absolute values total at most S^2) at most 2k + 2 times by u = eps/2, and a
 K_ab is off by at most 4u (the 5u relative error of its argument z, times
 |z| e^z <= 1/e, plus exp's rounding): (2k + 6) u S^2 <= c k eps S^2, c = 6.
+The pairs of blocks the dense kernel skips hold entries below 2^-60, so
+leaving them out moves W by at most 2^-60 S^2.  A skip needs more than one
+block, k > BLOCK_ROWS, and there (2k + 6) u S^2 + 2^-60 S^2 stays under
+6 k eps S^2.
 The factored kernel drops at most 2^-60 = eps/256 per entry, so 2^-60 S^2 in
 W.  Each U_am is a product of m + 1 factors: m steps u_a sqrt(2/j), each
 within 8u of exact (u_a's own four roundings included), and exp(-u_a^2),
@@ -119,7 +131,8 @@ BLOCK_ROWS = 256
 # most Taylor terms the factored kernel keeps; a narrower meter takes the dense one
 MAX_RANK = 64
 _TAYLOR_STEPS = np.sqrt(2.0 / np.arange(1, MAX_RANK))[:, np.newaxis]
-# cutoff radius of the pointer sum: exp(-CUTOFF^2) = 2^-60
+# cutoff radius of a Gauss term, exp(-CUTOFF^2) = 2^-60: pointer targets past it read 0,
+# and the dense kernel skips pairs of blocks past its reach, sqrt(8) CUTOFF w
 CUTOFF = math.sqrt(60.0 * math.log(2.0))
 
 
@@ -215,13 +228,28 @@ def _factored_pointer(values: np.ndarray, parts: np.ndarray, width: float,
 
 
 def _blocked_rows(values: np.ndarray, parts: np.ndarray, width: float) -> np.ndarray:
-    """R_a = P_a . (K P)_a from the dense kernel, one pair of class blocks at a time."""
+    """R_a = P_a . (K P)_a from the dense kernel, one pair of class blocks at a time;
+    a pair farther apart than the kernel's reach is skipped."""
     rows = np.zeros(values.size)
     blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, values.size, BLOCK_ROWS)]
+    # K_ab < 2^-60 exactly when |a - b| > reach
+    reach = math.sqrt(8.0) * CUTOFF * width
+    buffer = None
     for block, other in combinations_with_replacement(blocks, 2):
+        a, b = values[block], values[other]
         # (a - b)/w overflows to inf for tiny widths, and exp(-inf) makes K_ab 0
         with np.errstate(over="ignore"):
-            kernel = np.subtract.outer(values[block], values[other])
+            # values descend, so a[-1] and b[0] are the closest classes of the two
+            # blocks; a block is never beyond the reach of itself
+            if other is not block and a[-1] - b[0] > reach:
+                continue
+            # the first pair, the first block with itself, is the largest, and every
+            # later one fills a contiguous prefix of its kernel, laid out as a fresh array
+            if buffer is None:
+                kernel = buffer = np.subtract.outer(a, b)
+            else:
+                kernel = buffer.reshape(-1)[:a.size * b.size].reshape(a.size, b.size)
+                np.subtract.outer(a, b, out=kernel)
             kernel /= width
             np.square(kernel, out=kernel)
         kernel *= -1.0 / 8.0

@@ -36,7 +36,8 @@ def dense_mean_reading(evs, amps, width):
 def blocked_mean_reading(values, class_amplitudes, width):
     """Class-level reference: (numerator, denominator) of <x> from the dense overlap
     kernel, built one pair of class blocks at a time as meter.mean_reading does for
-    narrow meters and for a single block."""
+    narrow meters and for a single block, but every pair, those past the kernel's
+    reach that mean_reading skips included."""
     parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
     rows = np.zeros(values.size)
     blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, values.size, BLOCK_ROWS)]

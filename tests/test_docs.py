@@ -13,6 +13,7 @@ import numpy as np
 
 import qpaths
 from qpaths.cli import build_parser, main
+from qpaths.meter import CUTOFF, MAX_RANK, taylor_rank
 from qpaths.scenario_io import QUERY_KINDS, parse
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -91,3 +92,27 @@ def test_readme_layer_bullets_name_what_exists():
         for name in re.findall(r"`([A-Za-z]\w*(?:\.\w+)*)`", bullet[head.end():]):
             if "_" in name or "." in name:
                 operator.attrgetter(name)(module)  # AttributeError once a name is gone
+
+
+def test_readme_meter_bullet_figures_match_the_code():
+    bullet = " ".join(re.search(r"\n\* `meter` —(.*?)\n\* ", README, re.DOTALL).group(1).split())
+
+    def rank(spreads):
+        """Taylor rank of a mean reading whose meter is this many spreads wide."""
+        return taylor_rank(1.0 / (16.0 * spreads * spreads))
+
+    wide = re.search(r"as wide as the spectrum keeps p = (\d+)", bullet).group(1)
+    assert {rank(r) for r in (1.0, 10.0, 1e6)} == {int(wide)}
+    spreads, narrow = re.search(r"a meter of ([\d.]+) spreads takes (\d+)", bullet).groups()
+    assert rank(float(spreads)) == int(narrow)
+    assert int(re.search(r"`MAX_RANK` = (\d+)", bullet).group(1)) == MAX_RANK
+    # the narrowest meter the factored kernel takes, found by bisection on the rank
+    low, high = 0.01, 1.0
+    for _ in range(60):
+        middle = 0.5 * (low + high)
+        low, high = (middle, high) if rank(middle) > MAX_RANK else (low, middle)
+    edge = re.search(r"narrower than about ([\d.]+) spreads", bullet).group(1)
+    assert round(high, 2) == float(edge)
+    # README spells CUTOFF as √(60 ln 2)
+    reach = re.search(r"√8·√\(60 ln 2\) ≈ ([\d.]+) widths", bullet).group(1)
+    assert round(math.sqrt(8.0) * CUTOFF, 1) == float(reach)

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qpaths import (DiagonalObservable, KetState, MeterModel,
                     hardy_epsilon, mean_reading, reading_amplitude, scaled_widths,
                     three_box, weak_limit_convergence, weak_value)
 from qpaths.measurement import PathwayNetwork
-from qpaths.meter import BLOCK_ROWS, MAX_RANK, taylor_rank
+from qpaths.meter import BLOCK_ROWS, CUTOFF, MAX_RANK, _blocked_rows, taylor_rank
 from qpaths.oracle import MEAN_READING_TOL, WIDTH_RATIOS
 
 
@@ -342,8 +343,12 @@ def mean_reading_peak(ratio):
 
 
 def test_class_kernel_memory_is_bounded_by_one_block_pair_for_narrow_meters():
-    # a narrow meter keeps the dense blocked kernel
+    # 0.1 spreads takes the factored kernel (p = 43); 0.01 spreads keeps the dense
+    # blocked one, whose pairs of blocks share one 0.5 MB buffer, where a BLOCK_ROWS x k
+    # array would take 4 MB
+    assert taylor_rank(1 / (16 * 0.1 ** 2)) == 43 and taylor_rank(1 / (16 * 0.01 ** 2)) > MAX_RANK
     assert mean_reading_peak(0.1) < 2_000_000
+    assert mean_reading_peak(0.01) < 2_000_000
 
 
 def wide_spectrum(name, k, rng):
@@ -449,3 +454,73 @@ def test_every_wide_meter_keeps_ten_taylor_terms():
     # a meter at least as wide as the spectrum has x <= 1/16
     assert {taylor_rank(r * r / 16.0) for r in (1.0, 0.5, 1e-3, 1e-200, 0.0)} == {10}
     assert taylor_rank(1.0 / 16.0) == 10
+
+
+def reach(width):
+    """Distance past which every dense kernel entry exp(-((a - b)/w)^2/8) is below 2^-60."""
+    return math.sqrt(8.0) * CUTOFF * width
+
+
+@pytest.mark.parametrize("spectrum", ["permutation", "normal", "clustered", "offset"])
+def test_pairs_of_blocks_beyond_the_reach_hold_only_entries_below_the_cutoff(spectrum):
+    rng = np.random.default_rng(29)
+    values = np.sort(wide_spectrum(spectrum, 2048, rng))[::-1]
+    blocks = [values[start:start + BLOCK_ROWS] for start in range(0, values.size, BLOCK_ROWS)]
+    skipped = 0
+    for ratio in 10.0 ** rng.uniform(-4.0, -1.0, size=6):
+        width = ratio * (values[0] - values[-1])
+        for a, b in combinations_with_replacement(blocks, 2):
+            # the rule of _blocked_rows: values descend, so a[-1] and b[0] are closest
+            if a[-1] - b[0] > reach(width):
+                skipped += 1
+                assert np.exp(-(np.subtract.outer(a, b) / width) ** 2 / 8).max() < 2.0 ** -60
+    assert skipped > 0
+
+
+def test_clusters_beyond_the_reach_keep_their_own_rows_bit_for_bit():
+    # two block-aligned clusters 20 to 30 widths apart, just past the reach of about 18,
+    # where the cross entries are below 2^-60 but not 0; the upper cluster's small class
+    # sums would show them in their rows
+    rng = np.random.default_rng(31)
+    upper = np.sort(rng.uniform(20.0, 25.0, size=2 * BLOCK_ROWS))[::-1]
+    lower = np.sort(rng.uniform(-5.0, 0.0, size=BLOCK_ROWS + 88))[::-1]
+    values = np.concatenate((upper, lower))
+    parts = rng.normal(size=(values.size, 2))
+    parts[:upper.size] *= 1e-8
+    width = 1.0
+    assert upper[-1] - lower[0] > reach(width)
+    rows = _blocked_rows(values, parts, width)
+    assert np.array_equal(rows[:upper.size], _blocked_rows(upper, parts[:upper.size], width))
+    assert np.array_equal(rows[upper.size:], _blocked_rows(lower, parts[upper.size:], width))
+
+
+@pytest.mark.parametrize("spectrum", ["permutation", "normal"])
+def test_narrow_mean_reading_matches_the_kernel_without_skips(spectrum):
+    space, dec, rng = random_transition(2048, 37)
+    obs = DiagonalObservable(space, wide_spectrum(spectrum, 2048, rng))
+    values = obs.classes.values
+    width = 0.01 * obs.spread
+    # the first and last blocks lie beyond the reach, so at least that pair is skipped
+    assert values[BLOCK_ROWS - 1] - values[-BLOCK_ROWS] > reach(width)
+    amplitudes = PathwayNetwork.of(dec, obs).amplitudes
+    numerator, denominator = blocked_mean_reading(values, amplitudes, width)
+    expected = numerator / denominator
+    # the module docstring's bound: W, and the numerator (its terms weighted by
+    # |a| <= max |a|), within 6 k eps S^2, the 2^-60 S^2 of the skipped pairs included
+    bound = 6 * values.size * np.finfo(float).eps * float(np.abs(amplitudes).sum()) ** 2
+    tolerance = bound * (float(np.abs(values).max()) + abs(expected)) / abs(denominator)
+    assert abs(mean_reading(dec, obs, MeterModel(width)) - expected) <= tolerance
+
+
+def test_narrow_meter_over_the_whole_float_range_raises_no_warning():
+    # the closest classes of the first and last blocks are 2e308 apart, past the
+    # largest float, so the skip test itself overflows
+    space, dec, _ = random_transition(600, 41)
+    steps = np.arange(300) * 1e300
+    obs = DiagonalObservable(space, np.concatenate((1e308 - steps, steps - 1e308)))
+    probabilities = np.abs(dec.amplitudes) ** 2
+    conditional = float(obs.eigenvalues / 1e308 @ probabilities / probabilities.sum()) * 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reading = mean_reading(dec, obs, MeterModel(1.0))
+    assert reading == pytest.approx(conditional, rel=1e-12)
