@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NonProjectorError,
                      PostSelectionImpossible)
-from .pathsum import PathDecomposition, decompose
+from .pathsum import EPS, PathDecomposition, decompose
 from .statespace import DiagonalObservable, KetState, _power_of_two_scaled, expectation
 
 CERTAINTY_TOL = 1e-10
@@ -110,7 +110,7 @@ class PathwayNetwork:
         amplitudes, rounding, _ = self.scaled
         s = float(np.abs(amplitudes).sum())
         return not weight > (2.0 * rounding * s + rounding * rounding
-                             + 6.0 * amplitudes.size * float(np.finfo(float).eps) * s * s)
+                             + 6.0 * amplitudes.size * EPS * s * s)
 
 
 def build_network(initial: KetState, final: KetState,

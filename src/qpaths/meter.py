@@ -21,7 +21,13 @@ Since Re(A_a conj(A_b)) = Re A_a Re A_b + Im A_a Im A_b, the rows are a
 kernel-vector product, R_a = Re A_a (K Re A)_a + Im A_a (K Im A)_a, with
 P = [Re A, Im A].  So both meter sums are Gauss transforms over the k classes:
 the rows R with targets at the eigenvalues, and the pointer amplitude with
-targets at the pointer positions.  Two kernels compute them.
+targets at the pointer positions.  Which kernel computes them depends on k:
+
+  - one block of classes, k <= BLOCK_ROWS, at any width: one dense kernel,
+    K over all k classes for R and one pointer product for the amplitude;
+  - more than one block: the factored kernel while its rank p <= MAX_RANK,
+    else the dense kernel, for R over the band of pairs of blocks within its
+    reach and for the amplitude one block of classes at a time.
 
 The factored kernel, over more than one block of classes (k > BLOCK_ROWS).
 About the spectrum's midpoint c = min a + s/2, s = max a - min a, put
@@ -59,8 +65,9 @@ The rank is taken at x = 2 h max(h, |t|) over the targets within the cutoff
 (h itself keeps the sources' factors in range however close the targets
 sit), and past MAX_RANK the dense loop below runs instead.
 
-The dense blocked kernel, over k <= BLOCK_ROWS classes and for meters too
-narrow for MAX_RANK.  The classes are cut into blocks of BLOCK_ROWS, and K is
+The dense kernel.  Over one block it is the k x k array K, built in one pass
+and multiplied by P.  Over more than one block, for meters too narrow for
+MAX_RANK, the classes are cut into blocks of BLOCK_ROWS, and K is
 symmetric: K_JI is the transpose of K_IJ, exactly, since b - a = -(a - b) in
 floating point.  So each pair of blocks I <= J is built once and multiplied
 by the rows of P on both sides, giving the terms of R over I and, when
@@ -69,13 +76,13 @@ sqrt(8) R w (R the cutoff above).  The eigenvalues descend, so a pair whose
 closest classes, the last of I and the first of J, lie farther apart than
 the reach holds only such entries, and it is skipped: the truncation the
 factored kernel pays.  A narrow meter over a wide spectrum so builds only
-the band of pairs within the reach.  The first pair, the first block with
-itself, is the largest, and every pair built after it fills a contiguous
-prefix of its kernel, one buffer per call, laid out as a fresh array would
-be; so the terms of a kept pair do not change in the last bit.  A mean
-reading over k classes holds O(BLOCK_ROWS^2) floats, never a k x k array nor
-a BLOCK_ROWS x k one.  Within one block the dense kernel is already cheap.
-The pointer amplitude sums over the same blocks of classes.
+the band of pairs within the reach.  Every kept pair fills a contiguous
+prefix of one BLOCK_ROWS^2 buffer per call, laid out as a fresh array would
+be, by the same steps as the one-block kernel; so the terms of a kept pair do
+not change in the last bit.  A mean reading over k classes holds
+O(BLOCK_ROWS^2) floats, never a k x k array for k > BLOCK_ROWS nor a
+BLOCK_ROWS x k one.  The pointer amplitude sums over the same blocks of
+classes.
 
 Two limits bracket the meter.  As w -> 0, K -> I: the cross terms die,
 R_a = |A_a|^2, and the mean is the eigenvalue average under the
@@ -143,7 +150,7 @@ class MeterModel:
     width: float
 
     def __post_init__(self):
-        if not (self.width > 0.0 and np.isfinite(self.width)):
+        if not (self.width > 0.0 and math.isfinite(self.width)):
             raise ValueError("meter width must be a positive finite number")
 
     def pointer_amplitude(self, x):
@@ -171,15 +178,13 @@ def reading_amplitude(decomposition: PathDecomposition,
     parts = network.amplitudes.view(float).reshape(-1, 2)
     x = np.asarray(x, dtype=float)
     # the pointer is real, so the sum is a real product with [Re A, Im A]
-    sums = (_factored_pointer(values, parts, meter.width, observable.spread, x)
-            if values.size > BLOCK_ROWS else None)
-    if sums is None:
+    if values.size <= BLOCK_ROWS:
+        sums = meter.pointer_amplitude(x[..., np.newaxis] - values) @ parts
+    elif (sums := _factored_pointer(values, parts, meter, observable.spread, x)) is None:
         sums = np.zeros(x.shape + (2,))
         for start in range(0, values.size, BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
             sums += meter.pointer_amplitude(x[..., np.newaxis] - values[block]) @ parts[block]
-    else:
-        sums *= meter.pointer_amplitude(0.0)
     result = sums.view(complex)[..., 0]
     return complex(result) if result.ndim == 0 else result
 
@@ -207,10 +212,11 @@ def _taylor_factors(u: np.ndarray, rank: int) -> np.ndarray:
     return factors
 
 
-def _factored_pointer(values: np.ndarray, parts: np.ndarray, width: float,
+def _factored_pointer(values: np.ndarray, parts: np.ndarray, meter: MeterModel,
                       spread: float, x: np.ndarray) -> np.ndarray | None:
-    """sum_a exp(-((x - a)/(2w))^2) P_a from the Taylor factors, 0 past the cutoff;
-    None when the rank passes MAX_RANK."""
+    """sum_a G(x - a) P_a = G(0) sum_a exp(-((x - a)/(2w))^2) P_a from the Taylor
+    factors, 0 past the cutoff; None when the rank passes MAX_RANK."""
+    width = meter.width
     edge = 0.25 * spread / width
     # no target takes fewer terms than this; past it, skip t, which could overflow
     if taylor_rank(2.0 * edge * edge) > MAX_RANK:
@@ -224,7 +230,21 @@ def _factored_pointer(values: np.ndarray, parts: np.ndarray, width: float,
     sources = _taylor_factors((values - centre) / (2.0 * width), rank)
     sums = np.zeros(x.shape + (2,))
     sums[near] = _taylor_factors(t[near], rank).T @ (sources @ parts)
+    sums *= meter.pointer_amplitude(0.0)
     return sums
+
+
+def _overlap_kernel(a: np.ndarray, b: np.ndarray, width: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """K_ab = exp(-((a - b)/w)^2/8) over two runs of classes, written into out when given."""
+    # (a - b)/w overflows to inf for tiny widths, and exp(-inf) makes K_ab 0
+    with np.errstate(over="ignore"):
+        kernel = np.subtract.outer(a, b, out=out)
+        kernel /= width
+        np.square(kernel, out=kernel)
+    kernel *= -1.0 / 8.0
+    np.exp(kernel, out=kernel)
+    return kernel
 
 
 def _blocked_rows(values: np.ndarray, parts: np.ndarray, width: float) -> np.ndarray:
@@ -234,26 +254,16 @@ def _blocked_rows(values: np.ndarray, parts: np.ndarray, width: float) -> np.nda
     blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, values.size, BLOCK_ROWS)]
     # K_ab < 2^-60 exactly when |a - b| > reach
     reach = math.sqrt(8.0) * CUTOFF * width
-    buffer = None
+    # every kept pair fills a contiguous prefix, laid out as a fresh array would be
+    buffer = np.empty(BLOCK_ROWS * BLOCK_ROWS)
     for block, other in combinations_with_replacement(blocks, 2):
         a, b = values[block], values[other]
-        # (a - b)/w overflows to inf for tiny widths, and exp(-inf) makes K_ab 0
-        with np.errstate(over="ignore"):
-            # values descend, so a[-1] and b[0] are the closest classes of the two
-            # blocks; a block is never beyond the reach of itself
-            if other is not block and a[-1] - b[0] > reach:
-                continue
-            # the first pair, the first block with itself, is the largest, and every
-            # later one fills a contiguous prefix of its kernel, laid out as a fresh array
-            if buffer is None:
-                kernel = buffer = np.subtract.outer(a, b)
-            else:
-                kernel = buffer.reshape(-1)[:a.size * b.size].reshape(a.size, b.size)
-                np.subtract.outer(a, b, out=kernel)
-            kernel /= width
-            np.square(kernel, out=kernel)
-        kernel *= -1.0 / 8.0
-        np.exp(kernel, out=kernel)
+        # values descend, so a[-1] and b[0] are the closest classes of the two blocks;
+        # a block is never beyond the reach of itself, and Python floats overflow to
+        # inf without a warning
+        if other is not block and float(a[-1]) - float(b[0]) > reach:
+            continue
+        kernel = _overlap_kernel(a, b, width, buffer[:a.size * b.size].reshape(a.size, b.size))
         rows[block] += ((kernel @ parts[other]) * parts[block]).sum(axis=1)
         # b - a = -(a - b) exactly, so K_JI is the transpose of K_IJ
         if other != block:
@@ -278,12 +288,14 @@ def mean_reading(decomposition: PathDecomposition,
     values = observable.classes.values
     # <x> is a ratio of quadratic forms in A, so the record's exact scale keeps every bit
     parts = network.scaled[0].view(float).reshape(-1, 2)
-    spread = observable.spread
-    ratio = spread / meter.width
-    if values.size > BLOCK_ROWS and (rank := taylor_rank(ratio * ratio / 16.0)) <= MAX_RANK:
-        rows = _factored_rows(values, parts, meter.width, spread, rank)
+    if values.size <= BLOCK_ROWS:
+        rows = ((_overlap_kernel(values, values, meter.width) @ parts) * parts).sum(axis=1)
     else:
-        rows = _blocked_rows(values, parts, meter.width)
+        spread = observable.spread
+        ratio = spread / meter.width
+        rank = taylor_rank(ratio * ratio / 16.0)
+        rows = (_factored_rows(values, parts, meter.width, spread, rank) if rank <= MAX_RANK
+                else _blocked_rows(values, parts, meter.width))
     denominator = float(rows.sum())
     if network.vanishes(denominator):
         raise MeterStatisticsUndefined(
@@ -322,7 +334,7 @@ def weak_value(decomposition: PathDecomposition,
     total = decomposition.total_amplitude
     if abs(total) <= decomposition.rounding:
         raise WeakValueUndefined("total transition amplitude is zero to within rounding")
-    numerator = complex(np.sum(observable.eigenvalues * decomposition.amplitudes))
+    numerator = complex((observable.eigenvalues * decomposition.amplitudes).sum())
     return WeakValueResult(numerator / total)
 
 

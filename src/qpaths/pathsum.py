@@ -21,6 +21,9 @@ import numpy as np
 from .errors import DimensionMismatch
 from .statespace import KetState, StateSpace
 
+# machine epsilon, the spacing of floats at 1
+EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True, eq=False)
 class PathDecomposition:
@@ -37,7 +40,7 @@ class PathDecomposition:
     @cached_property
     def rounding(self) -> float:
         """n eps sum_n |amp(n)|: bounds the rounding error of any sum of the amplitudes."""
-        return float(self.amplitudes.size * np.finfo(float).eps * np.abs(self.amplitudes).sum())
+        return float(self.amplitudes.size * EPS * np.abs(self.amplitudes).sum())
 
     def __repr__(self) -> str:
         amps = ", ".join(f"{a:.6g}" for a in self.amplitudes)

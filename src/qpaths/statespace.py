@@ -25,7 +25,7 @@ def _power_of_two_scaled(values: np.ndarray, floor: float = 0.0) -> tuple[np.nda
     imaginary part scaled into [1, 2), so 2**e is a float; (values, 0) when that is
     0 or not finite.  values is real or contiguous complex."""
     parts = values.view(float)
-    largest = max(float(np.max(np.abs(parts), initial=0.0)), floor)
+    largest = max(float(np.abs(parts).max(initial=0.0)), floor)
     if not 0.0 < largest < math.inf:
         return values, 0
     e = math.frexp(largest)[1] - 1

@@ -1,6 +1,6 @@
 """Randomized-scenario invariant checks and the references (path-level meter sums,
-the blocked class kernel, the json.dumps emitter, the character-loop tokenizer)
-shared by the suites."""
+the blocked class kernel and pointer sum, the json.dumps emitter, the character-loop
+tokenizer) shared by the suites."""
 
 from __future__ import annotations
 
@@ -52,6 +52,25 @@ def blocked_mean_reading(values, class_amplitudes, width):
         if other != block:
             rows[other] += ((kernel.T @ parts[block]) * parts[other]).sum(axis=1)
     return float(values @ rows), float(rows.sum())
+
+
+def blocked_reading_amplitude(values, class_amplitudes, width, x):
+    """Class-level reference: sum_a G(x - a) A_a at every point of x, summed one block
+    of classes at a time into a zeroed array, as meter.reading_amplitude does wherever
+    the factored kernel does not run, with G computed in the same steps as
+    MeterModel.pointer_amplitude."""
+    parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
+    sums = np.zeros(x.shape + (2,))
+    for start in range(0, values.size, BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        with np.errstate(over="ignore"):
+            pointer = (x[..., np.newaxis] - values[block]) / width
+            np.square(pointer, out=pointer)
+        pointer *= -0.25
+        np.exp(pointer, out=pointer)
+        pointer *= (2.0 * np.pi) ** -0.25 * width ** -0.5
+        sums += pointer @ parts[block]
+    return sums.view(complex)[..., 0]
 
 
 def dense_reading_amplitude(evs, amps, width, x):

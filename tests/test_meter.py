@@ -7,8 +7,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from _invariants import (basis_ket, blocked_mean_reading, dense_mean_reading,
-                         dense_reading_amplitude, fourier_family)
+from _invariants import (basis_ket, blocked_mean_reading, blocked_reading_amplitude,
+                         dense_mean_reading, dense_reading_amplitude, fourier_family)
 from qpaths import (DiagonalObservable, KetState, MeterModel,
                     MeterStatisticsUndefined, StateSpace, WeakValueUndefined,
                     build_network, conditional_reading_distribution, decompose,
@@ -270,20 +270,24 @@ def test_class_meter_matches_path_level_sums_across_blocks(spectrum):
 
 
 def test_blocked_meter_limits_at_float_extremes():
+    # three blocks of distinct values, and within one block a two-class projector and
+    # 64 distinct values
     dec, observables = blocked_spectra()
-    obs = observables["distinct"]
-    amps = dec.amplitudes
-    # every eigenvalue is its own class, so the path probabilities are the class ones
-    probabilities = np.abs(amps) ** 2
-    conditional = float(obs.eigenvalues @ probabilities / probabilities.sum())
-    scale = float(probabilities.sum())
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        strong = mean_reading(dec, obs, MeterModel(1e-320))
-        weak = mean_reading(dec, obs, MeterModel(1e308))
-    assert strong == pytest.approx(conditional, abs=1e-12)
-    assert weak == pytest.approx(weak_value(dec, obs).reported,
-                                 abs=1e-12 * scale / abs(dec.total_amplitude) ** 2)
+    space, one_block_dec, rng = random_transition(64, 71)
+    cases = [(dec, observables["distinct"]),
+             (one_block_dec, DiagonalObservable(space, np.arange(64) % 2)),
+             (one_block_dec, DiagonalObservable(space, rng.normal(size=64)))]
+    for dec, obs in cases:
+        probabilities = np.abs(PathwayNetwork.of(dec, obs).amplitudes) ** 2
+        conditional = float(obs.classes.values @ probabilities / probabilities.sum())
+        scale = float(probabilities.sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strong = mean_reading(dec, obs, MeterModel(1e-320))
+            weak = mean_reading(dec, obs, MeterModel(1e308))
+        assert strong == pytest.approx(conditional, abs=1e-12)
+        assert weak == pytest.approx(weak_value(dec, obs).reported,
+                                     abs=1e-12 * scale / abs(dec.total_amplitude) ** 2)
 
 
 def test_class_kernel_memory_is_linear_in_distinct_classes():
@@ -427,6 +431,47 @@ def test_dense_kernel_kept_within_one_block_and_for_narrow_meters(k, ratio):
     numerator, denominator = blocked_mean_reading(
         obs.classes.values, PathwayNetwork.of(dec, obs).amplitudes, width)
     assert mean_reading(dec, obs, MeterModel(width)) == numerator / denominator
+
+
+# one block of classes, from a single one to a full block
+ONE_BLOCK_SIZES = (1, 2, 8, 64, BLOCK_ROWS)
+ONE_BLOCK_RATIOS = (1e-3, 0.01, 1.0, 100.0)
+
+
+def one_block_widths(obs):
+    """The four widths in spreads; one class has no spread, so the same numbers as widths."""
+    return ONE_BLOCK_RATIOS if obs.spread == 0.0 else scaled_widths(obs, ONE_BLOCK_RATIOS)
+
+
+@pytest.mark.parametrize("k", ONE_BLOCK_SIZES)
+def test_one_block_mean_reading_is_the_blocked_kernel_bit_for_bit(k):
+    for seed in (43, 47, 53):
+        space, dec, rng = random_transition(k, seed)
+        obs = DiagonalObservable(space, rng.normal(size=k))
+        assert obs.classes.values.size == k <= BLOCK_ROWS
+        amplitudes = PathwayNetwork.of(dec, obs).amplitudes
+        for width in one_block_widths(obs):
+            numerator, denominator = blocked_mean_reading(obs.classes.values, amplitudes,
+                                                          width)
+            assert mean_reading(dec, obs, MeterModel(width)) == numerator / denominator
+
+
+@pytest.mark.parametrize("k", ONE_BLOCK_SIZES)
+def test_one_block_reading_amplitude_is_the_blocked_sum_bit_for_bit(k):
+    for seed in (59, 61, 67):
+        space, dec, rng = random_transition(k, seed)
+        obs = DiagonalObservable(space, rng.normal(size=k))
+        values = obs.classes.values
+        amplitudes = PathwayNetwork.of(dec, obs).amplitudes
+        for width in one_block_widths(obs):
+            meter = MeterModel(width)
+            # every shifted packet out to eight widths, and one scalar position
+            x = np.linspace(values[-1] - 8 * width, values[0] + 8 * width, 97)
+            assert np.array_equal(reading_amplitude(dec, obs, meter, x),
+                                  blocked_reading_amplitude(values, amplitudes, width, x))
+            point = float(rng.choice(values)) + 0.5 * width
+            assert reading_amplitude(dec, obs, meter, point) == complex(
+                blocked_reading_amplitude(values, amplitudes, width, np.asarray(point)))
 
 
 @pytest.mark.parametrize("ratio", [1.0, 100.0])

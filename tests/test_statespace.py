@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from _invariants import basis_ket, fourier_family, kets_close
 from qpaths import (DiagonalObservable, DimensionMismatch, KetState,
                     StateSpace, ZeroStateError, decompose, expectation)
-from qpaths.statespace import overlapping_pairs, unit_scaled
+from qpaths.statespace import _power_of_two_scaled, overlapping_pairs, unit_scaled
 
 
 def test_space_basics():
@@ -83,6 +85,40 @@ def test_stored_arrays_are_read_only_and_never_alias_the_input():
         assert not np.shares_memory(stored, given)
         given[...] = 7.0
         assert np.array_equal(stored, before)
+
+
+@pytest.mark.parametrize("values, floor", [
+    (np.array([]), 0.0),
+    (np.zeros(3), 0.0),
+    (np.zeros(2, dtype=complex), 0.0),
+    (np.array([1.0, np.inf]), 0.0),
+    (np.array([np.nan, 2.0]), 0.5),
+    (np.array([1 + 1j, complex(0.0, -np.inf)]), 0.0),
+    (np.array([3.0]), np.inf),
+], ids=["empty", "zeros", "complex-zeros", "inf", "nan", "complex-inf", "infinite-floor"])
+def test_power_of_two_scaling_leaves_values_without_a_finite_scale(values, floor):
+    scaled, e = _power_of_two_scaled(values, floor)
+    assert scaled is values and e == 0
+
+
+@pytest.mark.parametrize("values, floor", [
+    (np.array([3.0, -0.75]), 0.0),
+    (np.array([1e-310, -4e-320]), 0.0),
+    (np.array([1.7e308, 1.0]), 0.0),
+    (np.array([0.0, 1.0]), 0.0),
+    (np.array([2.0 ** -30]), 2.0 ** -10),
+    (np.zeros(4), 1e-300),
+    (np.array([1e300 - 3e299j, 2e-5 + 6e299j]), 1.0),
+    (np.array([5e-324 + 0j]), 0.0),
+], ids=["real", "subnormal", "near-largest", "power-of-two", "floor-above-parts",
+        "zeros-with-floor", "complex", "smallest-subnormal"])
+def test_power_of_two_scaling_brings_the_largest_part_into_one_to_two_exactly(values, floor):
+    scaled, e = _power_of_two_scaled(values, floor)
+    assert scaled.dtype == values.dtype and scaled.shape == values.shape
+    parts = scaled.view(float)
+    # the larger of the floor and the largest real or imaginary part lands in [1, 2)
+    assert 1.0 <= max(float(np.abs(parts).max()), math.ldexp(floor, -e)) < 2.0
+    assert np.array_equal(np.ldexp(parts, e), values.view(float))
 
 
 def test_inner_conjugates_first_argument():
