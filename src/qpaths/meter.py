@@ -65,24 +65,20 @@ The rank is taken at x = 2 h max(h, |t|) over the targets within the cutoff
 (h itself keeps the sources' factors in range however close the targets
 sit), and past MAX_RANK the dense loop below runs instead.
 
-The dense kernel.  Over one block it is the k x k array K, built in one pass
-and multiplied by P.  Over more than one block, for meters too narrow for
-MAX_RANK, the classes are cut into blocks of BLOCK_ROWS, and K is
-symmetric: K_JI is the transpose of K_IJ, exactly, since b - a = -(a - b) in
-floating point.  So each pair of blocks I <= J is built once and multiplied
-by the rows of P on both sides, giving the terms of R over I and, when
-J != I, those over J.  K_ab < 2^-60 exactly when |a - b| exceeds the reach
-sqrt(8) R w (R the cutoff above).  The eigenvalues descend, so a pair whose
-closest classes, the last of I and the first of J, lie farther apart than
-the reach holds only such entries, and it is skipped: the truncation the
-factored kernel pays.  A narrow meter over a wide spectrum so builds only
-the band of pairs within the reach.  Every kept pair fills a contiguous
+The dense kernel.  K_ab and G(x - a)/G(0) are one Gaussian,
+exp(-c ((a - b)/w)^2) at c = 1/8 and c = 1/4, built in one pass over
+np.subtract.outer(a, b) under one overflow guard: where the difference, its
+quotient by w or the square passes the largest float, exp(-inf) makes the
+entry 0.  Over one block it is K times P, and one pointer product.  Over
+more, K_JI = K_IJ^T exactly (b - a = -(a - b) in floating point), so each
+pair I <= J of blocks of BLOCK_ROWS classes is built once for the rows of R
+over both.  K_ab < 2^-60 exactly when |a - b| exceeds the reach sqrt(8) R w
+(R the cutoff above); the eigenvalues descend, so a pair whose closest
+classes, the last of I and the first of J, lie farther apart is skipped: the
+truncation the factored kernel pays.  Every kept pair fills a contiguous
 prefix of one BLOCK_ROWS^2 buffer per call, laid out as a fresh array would
-be, by the same steps as the one-block kernel; so the terms of a kept pair do
-not change in the last bit.  A mean reading over k classes holds
-O(BLOCK_ROWS^2) floats, never a k x k array for k > BLOCK_ROWS nor a
-BLOCK_ROWS x k one.  The pointer amplitude sums over the same blocks of
-classes.
+be, so its terms keep every bit, and a mean reading never holds a k x k or
+BLOCK_ROWS x k array for k > BLOCK_ROWS.
 
 Two limits bracket the meter.  As w -> 0, K -> I: the cross terms die,
 R_a = |A_a|^2, and the mean is the eigenvalue average under the
@@ -143,6 +139,20 @@ _TAYLOR_STEPS = np.sqrt(2.0 / np.arange(1, MAX_RANK))[:, np.newaxis]
 CUTOFF = math.sqrt(60.0 * math.log(2.0))
 
 
+def _as_float(value) -> float:
+    """float(value), or an infinity of its sign where float() of an int overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _is_width(value) -> bool:
+    """The one rule for a meter width and for the spread that scales widths: a number
+    whose float value lies in (0, inf)."""
+    return 0.0 < _as_float(value) < math.inf
+
+
 @dataclass(frozen=True)
 class MeterModel:
     """Gaussian pointer with root-mean-square-like accuracy width."""
@@ -150,19 +160,12 @@ class MeterModel:
     width: float
 
     def __post_init__(self):
-        if not (self.width > 0.0 and math.isfinite(self.width)):
+        if not _is_width(self.width):
             raise ValueError("meter width must be a positive finite number")
 
     def pointer_amplitude(self, x):
         """Initial pointer wave amplitude at x; unit square-integral norm."""
-        pointer = np.empty(np.shape(x))
-        # (x/w)^2 overflows to inf for tiny widths, and exp(-inf) makes G 0
-        with np.errstate(over="ignore"):
-            np.divide(x, self.width, out=pointer)
-            np.square(pointer, out=pointer)
-        pointer *= -0.25
-        np.exp(pointer, out=pointer)
-        pointer *= (2.0 * np.pi) ** -0.25 * self.width ** -0.5
+        pointer = _pointer(x, 0.0, self.width, np.empty(np.shape(x)))
         return pointer if pointer.ndim else pointer[()]
 
 
@@ -179,12 +182,12 @@ def reading_amplitude(decomposition: PathDecomposition,
     x = np.asarray(x, dtype=float)
     # the pointer is real, so the sum is a real product with [Re A, Im A]
     if values.size <= BLOCK_ROWS:
-        sums = meter.pointer_amplitude(x[..., np.newaxis] - values) @ parts
+        sums = _pointer(x, values, meter.width) @ parts
     elif (sums := _factored_pointer(values, parts, meter, observable.spread, x)) is None:
         sums = np.zeros(x.shape + (2,))
         for start in range(0, values.size, BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
-            sums += meter.pointer_amplitude(x[..., np.newaxis] - values[block]) @ parts[block]
+            sums += _pointer(x, values[block], meter.width) @ parts[block]
     result = sums.view(complex)[..., 0]
     return complex(result) if result.ndim == 0 else result
 
@@ -212,6 +215,11 @@ def _taylor_factors(u: np.ndarray, rank: int) -> np.ndarray:
     return factors
 
 
+def _midpoint(values: np.ndarray, spread: float) -> float:
+    """The spectrum's midpoint c = min a + s/2, the one box of the factored kernel."""
+    return values[-1] + 0.5 * spread
+
+
 def _factored_pointer(values: np.ndarray, parts: np.ndarray, meter: MeterModel,
                       spread: float, x: np.ndarray) -> np.ndarray | None:
     """sum_a G(x - a) P_a = G(0) sum_a exp(-((x - a)/(2w))^2) P_a from the Taylor
@@ -221,7 +229,7 @@ def _factored_pointer(values: np.ndarray, parts: np.ndarray, meter: MeterModel,
     # no target takes fewer terms than this; past it, skip t, which could overflow
     if taylor_rank(2.0 * edge * edge) > MAX_RANK:
         return None
-    centre = values[-1] + 0.5 * spread
+    centre = _midpoint(values, spread)
     t = (x - centre) / (2.0 * width)
     near = np.abs(t) < edge + CUTOFF
     rank = taylor_rank(2.0 * edge * float(np.abs(t[near]).max(initial=edge)))
@@ -234,17 +242,24 @@ def _factored_pointer(values: np.ndarray, parts: np.ndarray, meter: MeterModel,
     return sums
 
 
-def _overlap_kernel(a: np.ndarray, b: np.ndarray, width: float,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """K_ab = exp(-((a - b)/w)^2/8) over two runs of classes, written into out when given."""
-    # (a - b)/w overflows to inf for tiny widths, and exp(-inf) makes K_ab 0
+def _gauss(a, b, width: float, c: float, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(-c ((a - b)/w)^2) over np.subtract.outer(a, b), written into out when given."""
+    # a - b, (a - b)/w or its square passes the largest float at the float extremes,
+    # and exp(-inf) makes that entry 0
     with np.errstate(over="ignore"):
-        kernel = np.subtract.outer(a, b, out=out)
-        kernel /= width
-        np.square(kernel, out=kernel)
-    kernel *= -1.0 / 8.0
-    np.exp(kernel, out=kernel)
-    return kernel
+        gauss = np.subtract.outer(a, b, out=out)
+        gauss /= width
+        np.square(gauss, out=gauss)
+    gauss *= -c
+    np.exp(gauss, out=gauss)
+    return gauss
+
+
+def _pointer(x, values, width: float, out: np.ndarray | None = None) -> np.ndarray:
+    """G(x - a) over np.subtract.outer(x, values), written into out when given."""
+    pointer = _gauss(x, values, width, 0.25, out)
+    pointer *= (2.0 * np.pi) ** -0.25 * width ** -0.5
+    return pointer
 
 
 def _blocked_rows(values: np.ndarray, parts: np.ndarray, width: float) -> np.ndarray:
@@ -263,7 +278,7 @@ def _blocked_rows(values: np.ndarray, parts: np.ndarray, width: float) -> np.nda
         # inf without a warning
         if other is not block and float(a[-1]) - float(b[0]) > reach:
             continue
-        kernel = _overlap_kernel(a, b, width, buffer[:a.size * b.size].reshape(a.size, b.size))
+        kernel = _gauss(a, b, width, 0.125, buffer[:a.size * b.size].reshape(a.size, b.size))
         rows[block] += ((kernel @ parts[other]) * parts[block]).sum(axis=1)
         # b - a = -(a - b) exactly, so K_JI is the transpose of K_IJ
         if other != block:
@@ -274,7 +289,7 @@ def _blocked_rows(values: np.ndarray, parts: np.ndarray, width: float) -> np.nda
 def _factored_rows(values: np.ndarray, parts: np.ndarray, width: float,
                    spread: float, rank: int) -> np.ndarray:
     """R_a = P_a . (U (U^T P))_a from the rank-p Taylor factorization of K."""
-    u = (values - (values[-1] + 0.5 * spread)) / width / np.sqrt(8.0)
+    u = (values - _midpoint(values, spread)) / width / np.sqrt(8.0)
     factors = _taylor_factors(u, rank)
     return np.einsum("ij,ij->i", factors.T @ (factors @ parts), parts)
 
@@ -289,7 +304,7 @@ def mean_reading(decomposition: PathDecomposition,
     # <x> is a ratio of quadratic forms in A, so the record's exact scale keeps every bit
     parts = network.scaled[0].view(float).reshape(-1, 2)
     if values.size <= BLOCK_ROWS:
-        rows = ((_overlap_kernel(values, values, meter.width) @ parts) * parts).sum(axis=1)
+        rows = ((_gauss(values, values, meter.width, 0.125) @ parts) * parts).sum(axis=1)
     else:
         spread = observable.spread
         ratio = spread / meter.width
@@ -352,13 +367,14 @@ def scaled_widths(observable: DiagonalObservable,
     """Meter widths as multiples of the observable's eigenvalue spread; raises
     ValueError unless the spread and every width lie in (0, inf)."""
     spread = observable.spread
-    if not 0.0 < spread < math.inf:
+    if not _is_width(spread):
         what = ("observable has zero eigenvalue spread" if spread <= 0.0 else
                 "observable's eigenvalue spread exceeds the largest float")
         raise ValueError(f"{what}; meter widths have no scale")
-    widths = tuple(float(r) * spread for r in ratios)
+    ratios = tuple(map(_as_float, ratios))
+    widths = tuple(ratio * spread for ratio in ratios)
     for ratio, width in zip(ratios, widths):
-        if not 0.0 < width < math.inf:
+        if not _is_width(width):
             raise ValueError(f"width {ratio:g} times the eigenvalue spread "
                              f"{spread:g} is outside the float range")
     return widths

@@ -12,14 +12,16 @@ final states and observables, and at least one query to run:
     query network final=f obs=N(1-|1+)
 
 '#' starts a comment anywhere.  Number literals: a real is a decimal
-(0.25, 1e-3), rational (1/4) or surd (1/sqrt(2)), with an optional sign.
+(0.25, 1e-3), rational (1/4) or surd (1/sqrt(2)), with an optional sign;
+a rational's integers are read exactly, up to int()'s digit limit.
 A state value is a pair ((0.70710678, 0)), a+bi or a-bi with b optional
 (1+2i, -1-0.5i, 1-i), bi (-0.5i), i, +i, -i, or a real; an observable
 value is a real.  A meter width in a query is a real above zero (width=1/2,
 widths=0.01,1/sqrt(2),100, no entry empty), in units of the observable's
 eigenvalue spread.
 Digits are ASCII, and a leading byte-order mark is ignored.  Errors carry
-1-based line and column positions and parsing never raises anything else.
+1-based line and column positions, quote a rejected literal by its first 40
+characters, and parsing never raises anything else.
 
 The names three-box, hardy, and hardy-epsilon are reserved for the
 built-in scenario library and rejected as document names.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +149,13 @@ def _tokenize(raw: str) -> list[tuple[str, int]]:
             for start, end in map(re.Match.span, _TOKEN_RE.finditer(shape))]
 
 
+def _quoted(literal: str) -> str:
+    """The literal as an error message quotes it: its repr, cut to 40 characters."""
+    if len(literal) <= 40:
+        return repr(literal)
+    return f"{literal[:40]!r}... ({len(literal)} characters)"
+
+
 def _real_value(part: str, line: int, col: int) -> float:
     """The float that a match of _REAL_RE stands for: p/q is the exact
     quotient rounded once, p/sqrt(k) is fl(p) / sqrt(fl(k))."""
@@ -157,28 +167,33 @@ def _real_value(part: str, line: int, col: int) -> float:
         if q[0] == "s":
             radicand = float(q[5:-1])
             if radicand <= 0.0:
-                raise ScenarioParseError(f"surd radicand must be positive in {part!r}",
+                raise ScenarioParseError(f"surd radicand must be positive in {_quoted(part)}",
                                          line, col)
             value = float(p) / math.sqrt(radicand) if radicand < math.inf else math.inf
         else:
             try:
-                # exact; int() reads at most 4300 digits, so leading zeros go
-                # first, and a longer integer counts as past the float range
+                # exact; int() reads a limited number of digits, so leading zeros go first
                 value = int(p.lstrip("0") or 0) / int(q.lstrip("0") or 0)
             except ZeroDivisionError:
-                raise ScenarioParseError(f"division by zero in {part!r}", line, col) from None
-            except (OverflowError, ValueError):
+                raise ScenarioParseError(f"division by zero in {_quoted(part)}",
+                                         line, col) from None
+            except OverflowError:
                 value = math.inf
+            except ValueError:
+                raise ScenarioParseError(
+                    f"literal {_quoted(part)} has an integer longer than int()'s "
+                    f"limit of {sys.get_int_max_str_digits()} digits",
+                    line, col) from None
         value *= sign
     if not math.isfinite(value):
-        raise ScenarioParseError(f"literal {part!r} is not a finite number", line, col)
+        raise ScenarioParseError(f"literal {_quoted(part)} is not a finite number", line, col)
     return value
 
 
 def _parse_real(token: str, line: int, col: int) -> float:
     if not _REAL_RE.fullmatch(token):
         raise ScenarioParseError(
-            f"bad real literal {token!r} (decimals, p/q, and p/sqrt(k) are accepted)",
+            f"bad real literal {_quoted(token)} (decimals, p/q, and p/sqrt(k) are accepted)",
             line, col)
     return _real_value(token, line, col)
 
@@ -188,7 +203,7 @@ def _parse_complex(token: str, line: int, col: int) -> complex:
     if m is None:
         if token.startswith("("):
             raise ScenarioParseError(
-                f"bad complex pair {token!r} (expected (re, im))", line, col)
+                f"bad complex pair {_quoted(token)} (expected (re, im))", line, col)
         return _parse_real(token, line, col)  # raises "bad real literal"
     real, imag = m[1] or m[3] or m[6], m[2] or m[4] or m[5]
     if imag in ("", "+", "-"):  # i, +i, -i, a+i, a-i: the coefficient 1 left out
@@ -367,13 +382,13 @@ def _query_error(q: QueryDirective, key: str, message: str) -> ScenarioParseErro
 def _positive_number(text: str, key: str = "width") -> float:
     """A meter width ratio: a real literal, read as a state value is, above zero."""
     if not _REAL_RE.fullmatch(text):
-        raise ValueError(f"{key} must be a number, got {text!r}")
+        raise ValueError(f"{key} must be a number, got {_quoted(text)}")
     try:
         value = _real_value(text, 0, 0)
     except ScenarioParseError as exc:  # the caller knows where the text stands
         raise ValueError(exc.message) from None
     if value <= 0.0:
-        raise ValueError(f"{key} must be positive, got {text!r}")
+        raise ValueError(f"{key} must be positive, got {_quoted(text)}")
     return value
 
 

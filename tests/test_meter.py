@@ -38,6 +38,17 @@ def test_meter_width_must_be_positive():
         MeterModel(-1.0)
 
 
+def test_width_rule_reads_the_float_value():
+    # an int past the float range is not a width, for the meter as for scaled_widths
+    obs = DiagonalObservable(StateSpace.of_dimension(2), (1.0, 0.0))
+    with pytest.raises(ValueError, match="positive finite"):
+        MeterModel(10 ** 400)
+    with pytest.raises(ValueError, match="outside the float range"):
+        scaled_widths(obs, [10 ** 400])
+    assert MeterModel(1).pointer_amplitude(0.0) == MeterModel(1.0).pointer_amplitude(0.0)
+    assert scaled_widths(obs, [1]) == (1.0,)
+
+
 def test_reading_amplitude_spot_value():
     dec, obs = hardy_case()
     psi0 = reading_amplitude(dec, obs, MeterModel(1.0), 0.0)
@@ -569,3 +580,19 @@ def test_narrow_meter_over_the_whole_float_range_raises_no_warning():
         warnings.simplefilter("error")
         reading = mean_reading(dec, obs, MeterModel(1.0))
     assert reading == pytest.approx(conditional, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 600])
+def test_pointer_far_past_every_class_reads_zero_without_a_warning(k):
+    # x - a passes the largest float at x = 1.5e308 for a = -1e308; k = 600 spans the
+    # float range, so no factored kernel fits and the block loop runs
+    space, dec, _ = random_transition(k, 37)
+    steps = np.arange(k // 2) * 1e300
+    obs = DiagonalObservable(space, np.concatenate((1e308 - steps, steps - 1e308)))
+    assert obs.classes.values.size == k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1.5e308, 0.0):
+            assert reading_amplitude(dec, obs, MeterModel(1.0), x) == 0.0
+        assert np.array_equal(reading_amplitude(dec, obs, MeterModel(1.0), [1.5e308, 0.0]),
+                              np.zeros(2))

@@ -1,4 +1,5 @@
 import math
+import sys
 from importlib import resources
 
 import numpy as np
@@ -84,10 +85,33 @@ def test_rationals_are_exact_quotients_past_the_float_range():
 
 def test_literals_past_the_float_range_are_rejected():
     surd = "1/sqrt(1" + "0" * 400 + ")"  # 1e-200, not 0
-    for bad in (surd, "1" + "0" * 400 + "/sqrt(2)", "1" + "0" * 400 + "/3",
-                "1" + "0" * 5000 + "/3"):
+    for bad in (surd, "1" + "0" * 400 + "/sqrt(2)", "1" + "0" * 400 + "/3", "1e999"):
+        quoted = repr(bad) if len(bad) <= 40 else f"{bad[:40]!r}... ({len(bad)} characters)"
         expect_error(MINIMAL.replace("1/sqrt(2) 1/sqrt(2)", f"1 {bad}"), 3, 13,
-                     f"literal {bad!r} is not a finite number")
+                     f"literal {quoted} is not a finite number")
+
+
+def test_rational_past_the_digit_limit_is_rejected_by_name():
+    # 10**limit / 10**(limit - 1) = 10 is finite, but int() does not read its numerator
+    limit = sys.get_int_max_str_digits()
+    bad = "1" + "0" * limit + "/1" + "0" * (limit - 1)
+    with pytest.raises(ScenarioParseError) as err:
+        parse(MINIMAL.replace("1/sqrt(2) 1/sqrt(2)", f"1 {bad}"))
+    assert (err.value.line, err.value.column) == (3, 13)
+    assert err.value.message == (f"literal {bad[:40]!r}... ({len(bad)} characters) has an "
+                                 f"integer longer than int()'s limit of {limit} digits")
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("(1, 2, 3{})", "bad complex pair {}"), ("1x{}", "bad real literal {}"),
+    ("1/sqrt({})", "surd radicand must be positive in {}"), ("1/0{}", "division by zero in {}"),
+], ids=["pair", "real", "surd", "zero"])
+def test_rejected_literals_are_quoted_by_an_excerpt(bad, message):
+    bad = bad.format("0" * 10_000)
+    with pytest.raises(ScenarioParseError) as err:
+        parse(MINIMAL.replace("1/sqrt(2) 1/sqrt(2)", f"1 {bad}"))
+    assert message.format(f"{bad[:40]!r}... ({len(bad)} characters)") in err.value.message
+    assert len(err.value.message) < 200
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -209,6 +233,16 @@ def test_error_query_unknown_references():
 def test_error_query_missing_required():
     expect_error(MINIMAL + "query weak final=f\n", 6, needle="requires argument 'obs'")
     expect_error(MINIMAL + "query amplitudes final=f\n", 6, 18, "does not take argument")
+
+
+def test_rejected_widths_are_quoted_by_an_excerpt():
+    base = ("dimension = 2\nbasis = a b\nstate i = 1 0\nstate f = 1/sqrt(2) 1/sqrt(2)\n"
+            "observable A = 1 0\n")
+    for width, needle in (("x" + "9" * 10_000, "must be a number, got"),
+                          ("-0." + "0" * 10_000 + "1", "must be positive, got")):
+        excerpt = f"{width[:40]!r}... ({len(width)} characters)"
+        expect_error(base + f"query mean-reading final=f obs=A width={width}\n", 6,
+                     needle=f"width {needle} {excerpt}")
 
 
 def test_error_query_numeric_arguments():
