@@ -26,8 +26,8 @@ targets at the pointer positions.  Which kernel computes them depends on k:
   - one block of classes, k <= BLOCK_ROWS, at any width: one dense kernel,
     K over all k classes for R and one pointer product for the amplitude;
   - more than one block: the factored kernel while its rank p <= MAX_RANK,
-    else the dense kernel, for R over the band of pairs of blocks within its
-    reach and for the amplitude one block of classes at a time.
+    else the dense kernel, for R over the band of entries within its reach
+    and for the amplitude one block of classes at a time.
 
 The factored kernel, over more than one block of classes (k > BLOCK_ROWS).
 About the spectrum's midpoint c = min a + s/2, s = max a - min a, put
@@ -70,15 +70,17 @@ exp(-c ((a - b)/w)^2) at c = 1/8 and c = 1/4, built in one pass over
 np.subtract.outer(a, b) under one overflow guard: where the difference, its
 quotient by w or the square passes the largest float, exp(-inf) makes the
 entry 0.  Over one block it is K times P, and one pointer product.  Over
-more, K_JI = K_IJ^T exactly (b - a = -(a - b) in floating point), so each
-pair I <= J of blocks of BLOCK_ROWS classes is built once for the rows of R
-over both.  K_ab < 2^-60 exactly when |a - b| exceeds the reach sqrt(8) R w
-(R the cutoff above); the eigenvalues descend, so a pair whose closest
-classes, the last of I and the first of J, lie farther apart is skipped: the
-truncation the factored kernel pays.  Every kept pair fills a contiguous
-prefix of one BLOCK_ROWS^2 buffer per call, laid out as a fresh array would
-be, so its terms keep every bit, and a mean reading never holds a k x k or
-BLOCK_ROWS x k array for k > BLOCK_ROWS.
+more, only the band within reach is built: K_ab < 2^-60 exactly when
+|a - b| exceeds the reach sqrt(8) R w (R the cutoff above), the truncation
+the factored kernel pays.  The eigenvalues descend, so each block of
+ROW_BLOCK rows takes one window of columns, from its own first class to the
+last within reach of its smallest eigenvalue (one searchsorted).  K_ba = K_ab
+exactly (b - a = -(a - b) in floating point), so each entry serves the row of
+its block's class and, where its column lies past the block, that column's
+row too.  A window wider than BAND_COLUMNS is cut into column chunks, so
+every kernel block fills a contiguous prefix of one BLOCK_ROWS^2 buffer per
+call, laid out as a fresh array would be, so its terms keep every bit, and a
+mean reading never holds a k x k or BLOCK_ROWS x k array for k > BLOCK_ROWS.
 
 Two limits bracket the meter.  As w -> 0, K -> I: the cross terms die,
 R_a = |A_a|^2, and the mean is the eigenvalue average under the
@@ -94,10 +96,9 @@ PathDecomposition.rounding, move W by W(d) - 2 Re(d^H K A), in
 absolute values total at most S^2) at most 2k + 2 times by u = eps/2, and a
 K_ab is off by at most 4u (the 5u relative error of its argument z, times
 |z| e^z <= 1/e, plus exp's rounding): (2k + 6) u S^2 <= c k eps S^2, c = 6.
-The pairs of blocks the dense kernel skips hold entries below 2^-60, so
-leaving them out moves W by at most 2^-60 S^2.  A skip needs more than one
-block, k > BLOCK_ROWS, and there (2k + 6) u S^2 + 2^-60 S^2 stays under
-6 k eps S^2.
+The entries outside the windows are below 2^-60, so leaving them out moves
+W by at most 2^-60 S^2.  Windows are cut only past one block, k > BLOCK_ROWS,
+and there (2k + 6) u S^2 + 2^-60 S^2 stays under 6 k eps S^2.
 The factored kernel drops at most 2^-60 = eps/256 per entry, so 2^-60 S^2 in
 W.  Each U_am is a product of m + 1 factors: m steps u_a sqrt(2/j), each
 within 8u of exact (u_a's own four roundings included), and exp(-u_a^2),
@@ -116,7 +117,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -127,15 +127,20 @@ from .measurement import PathwayNetwork
 from .pathsum import PathDecomposition
 from .statespace import DiagonalObservable
 
-# classes per block: a mean reading forms K one pair of blocks at a time,
-# and a reading amplitude forms the pointer sum one block of terms at a time
+# classes per block: up to BLOCK_ROWS classes a mean reading builds one dense kernel; past
+# it the band builds K ROW_BLOCK rows by up to BAND_COLUMNS columns, at most BLOCK_ROWS^2
+# entries, at a time, and a reading amplitude sums the pointer one block at a time
 BLOCK_ROWS = 256
+# on the benchmark's 0.01-spread meters over 512 to 2048 classes, 128-row blocks built the
+# band as fast as 64-row ones, and 256-row ones took about 15% longer
+ROW_BLOCK = BLOCK_ROWS // 2
+BAND_COLUMNS = BLOCK_ROWS * BLOCK_ROWS // ROW_BLOCK
 
 # most Taylor terms the factored kernel keeps; a narrower meter takes the dense one
 MAX_RANK = 64
 _TAYLOR_STEPS = np.sqrt(2.0 / np.arange(1, MAX_RANK))[:, np.newaxis]
 # cutoff radius of a Gauss term, exp(-CUTOFF^2) = 2^-60: pointer targets past it read 0,
-# and the dense kernel skips pairs of blocks past its reach, sqrt(8) CUTOFF w
+# and the dense kernel's band stops at its reach, sqrt(8) CUTOFF w
 CUTOFF = math.sqrt(60.0 * math.log(2.0))
 
 
@@ -262,27 +267,38 @@ def _pointer(x, values, width: float, out: np.ndarray | None = None) -> np.ndarr
     return pointer
 
 
-def _blocked_rows(values: np.ndarray, parts: np.ndarray, width: float) -> np.ndarray:
-    """R_a = P_a . (K P)_a from the dense kernel, one pair of class blocks at a time;
-    a pair farther apart than the kernel's reach is skipped."""
-    rows = np.zeros(values.size)
-    blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, values.size, BLOCK_ROWS)]
+def _band(values: np.ndarray, width: float):
+    """The dense kernel's band within its reach, as (rows, columns) slices: each block of
+    ROW_BLOCK rows takes the columns from its first class to the last within reach of its
+    smallest eigenvalue, in chunks of at most BLOCK_ROWS^2 entries."""
     # K_ab < 2^-60 exactly when |a - b| > reach
     reach = math.sqrt(8.0) * CUTOFF * width
-    # every kept pair fills a contiguous prefix, laid out as a fresh array would be
+    ascending = values[::-1]
+    for start in range(0, values.size, ROW_BLOCK):
+        block = slice(start, min(start + ROW_BLOCK, values.size))
+        # values descend, so the classes beyond the reach of the block's smallest are the
+        # last ones; Python floats overflow to inf without a warning
+        beyond = int(np.searchsorted(ascending, float(values[block.stop - 1]) - reach))
+        stop = values.size - beyond
+        for first in range(start, stop, BAND_COLUMNS):
+            yield block, slice(first, min(first + BAND_COLUMNS, stop))
+
+
+def _blocked_rows(values: np.ndarray, parts: np.ndarray, width: float) -> np.ndarray:
+    """R_a = P_a . (K P)_a from the dense kernel over its band (_band); each entry serves
+    the row of its block's class and that of its column past the block."""
+    rows = np.zeros(values.size)
+    # every kernel block fills a contiguous prefix, laid out as a fresh array would be
     buffer = np.empty(BLOCK_ROWS * BLOCK_ROWS)
-    for block, other in combinations_with_replacement(blocks, 2):
-        a, b = values[block], values[other]
-        # values descend, so a[-1] and b[0] are the closest classes of the two blocks;
-        # a block is never beyond the reach of itself, and Python floats overflow to
-        # inf without a warning
-        if other is not block and float(a[-1]) - float(b[0]) > reach:
-            continue
+    for block, columns in _band(values, width):
+        a, b = values[block], values[columns]
         kernel = _gauss(a, b, width, 0.125, buffer[:a.size * b.size].reshape(a.size, b.size))
-        rows[block] += ((kernel @ parts[other]) * parts[block]).sum(axis=1)
-        # b - a = -(a - b) exactly, so K_JI is the transpose of K_IJ
-        if other != block:
-            rows[other] += ((kernel.T @ parts[block]) * parts[other]).sum(axis=1)
+        rows[block] += ((kernel @ parts[columns]) * parts[block]).sum(axis=1)
+        # b - a = -(a - b) exactly, so the columns past the block take the transpose
+        past = slice(max(columns.start, block.stop), columns.stop)
+        if past.start < past.stop:
+            rows[past] += ((kernel[:, past.start - columns.start:].T @ parts[block])
+                           * parts[past]).sum(axis=1)
     return rows
 
 

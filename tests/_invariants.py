@@ -1,11 +1,12 @@
 """Randomized-scenario invariant checks and the references (path-level meter sums,
-the blocked class kernel and pointer sum, the json.dumps emitter, the character-loop
-tokenizer) shared by the suites."""
+the blocked and banded class kernels and the blocked pointer sum, the json.dumps
+emitter, the character-loop tokenizer) shared by the suites."""
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -14,7 +15,7 @@ from qpaths import (DiagonalObservable, KetState, StateSpace, build_network,
                     conditional_reading_distribution, decompose, expectation,
                     weak_value)
 from qpaths.cli import _real_text, emit
-from qpaths.meter import BLOCK_ROWS
+from qpaths.meter import BAND_COLUMNS, BLOCK_ROWS, ROW_BLOCK
 
 TOL = 1e-10
 
@@ -35,9 +36,8 @@ def dense_mean_reading(evs, amps, width):
 
 def blocked_mean_reading(values, class_amplitudes, width):
     """Class-level reference: (numerator, denominator) of <x> from the dense overlap
-    kernel, built one pair of class blocks at a time as meter.mean_reading does for
-    narrow meters and for a single block, but every pair, those past the kernel's
-    reach that mean_reading skips included."""
+    kernel over every pair of class blocks, those past the kernel's reach that
+    meter.mean_reading leaves out included; over one block, its kernel."""
     parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
     rows = np.zeros(values.size)
     blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, values.size, BLOCK_ROWS)]
@@ -51,6 +51,36 @@ def blocked_mean_reading(values, class_amplitudes, width):
         rows[block] += ((kernel @ parts[other]) * parts[block]).sum(axis=1)
         if other != block:
             rows[other] += ((kernel.T @ parts[block]) * parts[other]).sum(axis=1)
+    return float(values @ rows), float(rows.sum())
+
+
+def banded_mean_reading(values, class_amplitudes, width):
+    """Class-level reference: (numerator, denominator) of <x> from the dense overlap
+    kernel over the band meter.mean_reading builds for narrow meters past one block,
+    summed in its order: each block of ROW_BLOCK rows against the columns from its first
+    class to the last within w sqrt(480 ln 2) of its smallest eigenvalue (past that
+    distance every entry is below 2^-60), BAND_COLUMNS columns at a time, and each entry
+    again for the row of its column when that column lies past the block."""
+    parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
+    rows = np.zeros(values.size)
+    reach = width * math.sqrt(480.0 * math.log(2.0))
+    for start in range(0, values.size, ROW_BLOCK):
+        end = min(start + ROW_BLOCK, values.size)
+        # eigenvalues descend; those below the block's smallest less the reach are last
+        beyond = np.searchsorted(np.sort(values), float(values[end - 1]) - reach)
+        for first in range(start, values.size - beyond, BAND_COLUMNS):
+            last = min(first + BAND_COLUMNS, values.size - beyond)
+            with np.errstate(over="ignore"):
+                kernel = np.subtract.outer(values[start:end], values[first:last])
+                kernel /= width
+                np.square(kernel, out=kernel)
+            kernel *= -1.0 / 8.0
+            np.exp(kernel, out=kernel)
+            rows[start:end] += ((kernel @ parts[first:last]) * parts[start:end]).sum(axis=1)
+            past = max(first, end)
+            if past < last:
+                rows[past:last] += ((kernel[:, past - first:].T @ parts[start:end])
+                                    * parts[past:last]).sum(axis=1)
     return float(values @ rows), float(rows.sum())
 
 

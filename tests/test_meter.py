@@ -2,13 +2,13 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from _invariants import (basis_ket, blocked_mean_reading, blocked_reading_amplitude,
-                         dense_mean_reading, dense_reading_amplitude, fourier_family)
+from _invariants import (banded_mean_reading, basis_ket, blocked_mean_reading,
+                         blocked_reading_amplitude, dense_mean_reading,
+                         dense_reading_amplitude, fourier_family)
 from qpaths import (DiagonalObservable, KetState, MeterModel,
                     MeterStatisticsUndefined, StateSpace, WeakValueUndefined,
                     build_network, conditional_reading_distribution, decompose,
@@ -16,7 +16,8 @@ from qpaths import (DiagonalObservable, KetState, MeterModel,
                     hardy_epsilon, mean_reading, reading_amplitude, scaled_widths,
                     three_box, weak_limit_convergence, weak_value)
 from qpaths.measurement import PathwayNetwork
-from qpaths.meter import BLOCK_ROWS, CUTOFF, MAX_RANK, _blocked_rows, taylor_rank
+from qpaths.meter import (BAND_COLUMNS, BLOCK_ROWS, CUTOFF, MAX_RANK, ROW_BLOCK, _band,
+                          _blocked_rows, taylor_rank)
 from qpaths.oracle import MEAN_READING_TOL, WIDTH_RATIOS
 
 
@@ -359,7 +360,7 @@ def mean_reading_peak(ratio):
 
 def test_class_kernel_memory_is_bounded_by_one_block_pair_for_narrow_meters():
     # 0.1 spreads takes the factored kernel (p = 43); 0.01 spreads keeps the dense
-    # blocked one, whose pairs of blocks share one 0.5 MB buffer, where a BLOCK_ROWS x k
+    # band, whose kernel blocks share one 0.5 MB buffer, where a BLOCK_ROWS x k
     # array would take 4 MB
     assert taylor_rank(1 / (16 * 0.1 ** 2)) == 43 and taylor_rank(1 / (16 * 0.01 ** 2)) > MAX_RANK
     assert mean_reading_peak(0.1) < 2_000_000
@@ -433,15 +434,20 @@ def test_factored_pointer_sum_reads_zero_only_past_the_cutoff():
     assert 0 < np.count_nonzero(psi == 0) < x.size
 
 
-@pytest.mark.parametrize("k, ratio", [(BLOCK_ROWS, 100.0), (600, 0.01)])
+@pytest.mark.parametrize("k, ratio", [(BLOCK_ROWS, 100.0), (600, 0.01), (2048, 0.01)])
 def test_dense_kernel_kept_within_one_block_and_for_narrow_meters(k, ratio):
-    # the dense kernel to the last bit, so outputs over these classes do not move
+    # the dense kernel to the last bit: over one block all of K, past it the band's
+    # windows in their order; at k = 2048 some window is cut into column chunks
     space, dec, rng = random_transition(k, 17)
     obs = DiagonalObservable(space, rng.normal(size=k))
     width = ratio * obs.spread
-    numerator, denominator = blocked_mean_reading(
+    reference = blocked_mean_reading if k <= BLOCK_ROWS else banded_mean_reading
+    numerator, denominator = reference(
         obs.classes.values, PathwayNetwork.of(dec, obs).amplitudes, width)
     assert mean_reading(dec, obs, MeterModel(width)) == numerator / denominator
+    if k == 2048:
+        assert any(columns.start > block.start for block, columns in
+                   _band(obs.classes.values, width))
 
 
 # one block of classes, from a single one to a full block
@@ -518,19 +524,26 @@ def reach(width):
 
 
 @pytest.mark.parametrize("spectrum", ["permutation", "normal", "clustered", "offset"])
-def test_pairs_of_blocks_beyond_the_reach_hold_only_entries_below_the_cutoff(spectrum):
+def test_entries_outside_the_band_are_below_the_cutoff(spectrum):
     rng = np.random.default_rng(29)
     values = np.sort(wide_spectrum(spectrum, 2048, rng))[::-1]
-    blocks = [values[start:start + BLOCK_ROWS] for start in range(0, values.size, BLOCK_ROWS)]
-    skipped = 0
+    short = 0
     for ratio in 10.0 ** rng.uniform(-4.0, -1.0, size=6):
         width = ratio * (values[0] - values[-1])
-        for a, b in combinations_with_replacement(blocks, 2):
-            # the rule of _blocked_rows: values descend, so a[-1] and b[0] are closest
-            if a[-1] - b[0] > reach(width):
-                skipped += 1
-                assert np.exp(-(np.subtract.outer(a, b) / width) ** 2 / 8).max() < 2.0 ** -60
-    assert skipped > 0
+        # how often K_ab enters row a as _blocked_rows sums it: for a in the row block,
+        # and again, transposed, for a in a column past the block
+        uses = np.zeros((values.size, values.size), dtype=np.int8)
+        for block, columns in _band(values, width):
+            assert block.stop - block.start <= ROW_BLOCK
+            assert 0 < columns.stop - columns.start <= BAND_COLUMNS
+            uses[block, columns] += 1
+            uses[max(columns.start, block.stop):columns.stop, block] += 1
+            short += columns.stop < values.size
+        assert uses.max() == 1
+        outside = np.subtract.outer(values, values)[uses == 0]
+        assert np.exp(-(outside / width) ** 2 / 8).max(initial=0.0) < 2.0 ** -60
+    # some window stops short of the last class
+    assert short > 0
 
 
 def test_clusters_beyond_the_reach_keep_their_own_rows_bit_for_bit():
@@ -552,25 +565,25 @@ def test_clusters_beyond_the_reach_keep_their_own_rows_bit_for_bit():
 
 @pytest.mark.parametrize("spectrum", ["permutation", "normal"])
 def test_narrow_mean_reading_matches_the_kernel_without_skips(spectrum):
-    space, dec, rng = random_transition(2048, 37)
-    obs = DiagonalObservable(space, wide_spectrum(spectrum, 2048, rng))
-    values = obs.classes.values
-    width = 0.01 * obs.spread
-    # the first and last blocks lie beyond the reach, so at least that pair is skipped
-    assert values[BLOCK_ROWS - 1] - values[-BLOCK_ROWS] > reach(width)
-    amplitudes = PathwayNetwork.of(dec, obs).amplitudes
-    numerator, denominator = blocked_mean_reading(values, amplitudes, width)
-    expected = numerator / denominator
-    # the module docstring's bound: W, and the numerator (its terms weighted by
-    # |a| <= max |a|), within 6 k eps S^2, the 2^-60 S^2 of the skipped pairs included
-    bound = 6 * values.size * np.finfo(float).eps * float(np.abs(amplitudes).sum()) ** 2
-    tolerance = bound * (float(np.abs(values).max()) + abs(expected)) / abs(denominator)
-    assert abs(mean_reading(dec, obs, MeterModel(width)) - expected) <= tolerance
+    for k in (600, 2048):
+        space, dec, rng = random_transition(k, 37)
+        obs = DiagonalObservable(space, wide_spectrum(spectrum, k, rng))
+        values = obs.classes.values
+        width = 0.01 * obs.spread
+        # the first row block's window stops short of the last class
+        assert values[ROW_BLOCK - 1] - values[-1] > reach(width)
+        amplitudes = PathwayNetwork.of(dec, obs).amplitudes
+        numerator, denominator = blocked_mean_reading(values, amplitudes, width)
+        expected = numerator / denominator
+        # the module docstring's bound: W, and the numerator (its terms weighted by
+        # |a| <= max |a|), within 6 k eps S^2, the 2^-60 S^2 outside the windows included
+        bound = 6 * values.size * np.finfo(float).eps * float(np.abs(amplitudes).sum()) ** 2
+        tolerance = bound * (float(np.abs(values).max()) + abs(expected)) / abs(denominator)
+        assert abs(mean_reading(dec, obs, MeterModel(width)) - expected) <= tolerance
 
 
 def test_narrow_meter_over_the_whole_float_range_raises_no_warning():
-    # the closest classes of the first and last blocks are 2e308 apart, past the
-    # largest float, so the skip test itself overflows
+    # the classes span 2e308, past the largest float
     space, dec, _ = random_transition(600, 41)
     steps = np.arange(300) * 1e300
     obs = DiagonalObservable(space, np.concatenate((1e308 - steps, steps - 1e308)))
