@@ -150,12 +150,10 @@ def emit(fmt: str, tables: list[Table], out: TextIO) -> None:
 
 def amplitudes_table(scenario: Scenario) -> Table:
     values = amplitude_table(scenario.initial, scenario.finals)
-    rows = []
-    for k, label in enumerate(scenario.space.labels):
-        rows.append((label, *[complex(v) for v in values[k]]))
+    rows = tuple((label, *row) for label, row in zip(scenario.space.labels, values.tolist()))
     return Table(title=f"path amplitudes ({scenario.name})",
                  columns=("path", *scenario.finals),
-                 rows=tuple(rows))
+                 rows=rows)
 
 
 def probabilities_table(scenario: Scenario) -> Table:
@@ -176,10 +174,10 @@ def network_table(scenario: Scenario, final_name: str, obs_name: str) -> Table:
     except PostSelectionImpossible:
         conditional = None
     rows = []
-    for cls in net.classes:
+    for cls, probability in zip(net.classes, net.probabilities.tolist()):
         paths = " + ".join(scenario.space.labels[k] for k in cls.members)
-        rows.append((float(cls.eigenvalue), paths, cls.multiplicity,
-                     complex(cls.amplitude), float(cls.probability),
+        rows.append((float(cls.eigenvalue), paths, len(cls.members),
+                     complex(cls.amplitude), probability,
                      None if conditional is None else float(conditional[cls.eigenvalue])))
     return Table(title=f"pathway network ({scenario.name}, final {final_name}, "
                        f"observable {obs_name})",
@@ -267,8 +265,8 @@ def table2_table(scenario: Scenario) -> Table:
     for obs_name, obs in scenario.observables.items():
         for final_name, fin in scenario.finals.items():
             net = build_network(scenario.initial, fin, obs)
-            classes = " ".join(f"{_real_text(c.eigenvalue)}:{_real_text(c.probability)}"
-                               for c in net.classes)
+            classes = " ".join(f"{_real_text(ev)}:{_real_text(p)}" for ev, p in
+                               zip(obs.classes.values.tolist(), net.probabilities.tolist()))
             rows.append((obs_name, final_name, float(net.perturbed_probability), classes))
     return Table(title=f"measured transition probabilities ({scenario.name})",
                  columns=("observable", "final", "probability", "classes"),
@@ -434,7 +432,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         tables, code = args.handler(args)
-    except (QPathsError, OSError, ValueError) as exc:
+    except (QPathsError, OSError, ValueError, MemoryError) as exc:
         # only `run` parses a file, so a parse error always has one to name
         prefix = f"{args.file}: " if isinstance(exc, ScenarioParseError) else ""
         print(f"error: {prefix}{exc}", file=sys.stderr)

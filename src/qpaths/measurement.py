@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,22 +27,18 @@ from .statespace import DiagonalObservable, KetState, _power_of_two_scaled, expe
 CERTAINTY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PathwayClass:
+class PathwayClass(NamedTuple):
     """Paths sharing one eigenvalue, merged into a single coherent branch."""
 
     eigenvalue: float
     members: tuple[int, ...]
     amplitude: complex
 
-    @property
-    def multiplicity(self) -> int:
-        return len(self.members)
 
-    @property
-    def probability(self) -> float:
-        """Joint probability of this reading together with the post-selection."""
-        return float(abs(self.amplitude) ** 2)
+def _squared_moduli(amplitudes: np.ndarray) -> np.ndarray:
+    """|A|^2 of each entry."""
+    # np.hypot rounds as abs(complex) does; np.abs of complex can differ in the last bit
+    return np.hypot(amplitudes.real, amplitudes.imag) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,14 +81,19 @@ class PathwayNetwork:
                      for ev, start, end, amp in zip(values.tolist(), [0] + ends, ends,
                                                     self.amplitudes.tolist()))
 
+    @property
+    def probabilities(self) -> np.ndarray:
+        """|A_a|^2 of each class, joint with the post-selection, in class order."""
+        return _squared_moduli(self.amplitudes)
+
     def probability_of(self, eigenvalue: float) -> float:
         """|A_a|^2, joint with the post-selection; 0.0 for a reading no path carries."""
         found = np.flatnonzero(self.observable.classes.values == eigenvalue)
-        return float(abs(complex(self.amplitudes[found[0]])) ** 2) if found.size else 0.0
+        return float(self.probabilities[found[0]]) if found.size else 0.0
 
     @property
     def perturbed_probability(self) -> float:
-        return float((np.hypot(self.amplitudes.real, self.amplitudes.imag) ** 2).sum())
+        return float(self.probabilities.sum())
 
     @cached_property
     def scaled(self) -> tuple[np.ndarray, float, int]:
@@ -129,9 +131,7 @@ def conditional_reading_distribution(network: PathwayNetwork) -> dict[float, flo
     Raises PostSelectionImpossible when the post-selection probability
     sum_a |A_a|^2 is zero to within rounding (PathwayNetwork.vanishes, K = I).
     """
-    amplitudes = network.scaled[0]
-    # np.hypot rounds as abs(complex) does; np.abs of complex can differ in the last bit
-    probabilities = np.hypot(amplitudes.real, amplitudes.imag) ** 2
+    probabilities = _squared_moduli(network.scaled[0])
     total = probabilities.sum()
     if network.vanishes(float(total)):
         raise PostSelectionImpossible(

@@ -307,6 +307,17 @@ def test_exit_code_scan_epsilon_to_infinity(capsys):
     assert err.startswith("error: ") and "finite" in err
 
 
+def test_exit_code_scan_epsilon_with_more_steps_than_memory(capsys):
+    # 10**11 steps need 745 GiB, which no allocation grants; a count whose array
+    # could fit would fill the machine's memory before it failed
+    code, out, err = run_cli(capsys, "scan-epsilon", "--obs", "N(1+)", "--from", "1",
+                             "--to", "2", "--steps", "100000000000")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: Unable to allocate ")
+
+
 def test_exit_code_infinite_epsilon(capsys):
     code, out, err = run_cli(capsys, "weak", "--scenario", "hardy-epsilon",
                              "--epsilon", "inf", "--final", "f", "--obs", "N(1+)")

@@ -5,7 +5,7 @@ import pytest
 
 from _invariants import basis_ket, class_values, fourier_family
 from qpaths import (DiagonalObservable, DimensionMismatch, KetState, MeterModel,
-                    NonProjectorError, PathwayNetwork, PostSelectionImpossible,
+                    NonProjectorError, PathwayClass, PathwayNetwork, PostSelectionImpossible,
                     StateSpace, all_outcomes_probability, build_network,
                     certain_reading, conditional_reading_distribution, decompose,
                     hardy, mean_reading, product_rule_report, reading_amplitude,
@@ -25,8 +25,8 @@ def test_pair_measurement_splits_f_into_two_pathways():
     assert zero.members == (1, 2, 3, 4)
     assert one.amplitude == 0.25
     assert zero.amplitude == -0.5
-    assert one.probability == 0.0625
-    assert zero.probability == 0.25
+    assert net.probabilities[0] == 0.0625
+    assert net.probabilities[1] == 0.25
 
 
 def test_other_pair_measurements_leave_probability_unchanged():
@@ -48,7 +48,7 @@ def test_identity_observable_gives_single_class():
     net = build_network(sc.initial, sc.final("f"),
                         DiagonalObservable(sc.space, np.ones(5)))
     assert len(net.classes) == 1
-    assert net.classes[0].multiplicity == 5
+    assert len(net.classes[0].members) == 5
     assert net.perturbed_probability == 0.0625
 
 
@@ -61,7 +61,7 @@ def test_classes_partition_and_order():
     assert [c.members for c in net.classes] == [(0, 2), (3,), (1,)]
     # a reading that no path carries has joint probability zero
     assert net.probability_of(7.0) == 0.0
-    assert net.probability_of(2.0) == net.classes[0].probability == 0.0
+    assert net.probability_of(2.0) == net.probabilities[0] == 0.0
 
 
 def test_signed_zero_eigenvalues_form_one_class():
@@ -70,9 +70,9 @@ def test_signed_zero_eigenvalues_form_one_class():
     net = build_network(KetState(space, [1, 1, 1]), KetState(space, [1, 2, 3]), obs)
     assert class_values(net) == (1.0, 0.0)
     zero = net.classes[1]
-    assert net.probability_of(-0.0) == net.probability_of(0.0) == zero.probability
+    assert net.probability_of(-0.0) == net.probability_of(0.0) == net.probabilities[1]
     assert zero.members == (0, 2)
-    assert zero.multiplicity == 2
+    assert len(zero.members) == 2
     assert zero.amplitude == pytest.approx(4.0 / 42 ** 0.5, abs=1e-15)
 
 
@@ -93,6 +93,39 @@ def test_network_amplitudes_are_read_only_class_sums():
         net.amplitudes[0] = 0.0
     assert net.classes is net.classes
     assert [c.amplitude for c in net.classes] == net.amplitudes.tolist()
+
+
+def test_pathway_class_is_three_fields_and_nothing_else():
+    assert PathwayClass._fields == ("eigenvalue", "members", "amplitude")
+    public = [name for name in vars(PathwayClass)
+              if not name.startswith("_") and name not in PathwayClass._fields]
+    assert public == []
+
+
+def random_networks():
+    """Networks over 40 paths, one with a -0.0/0.0 class and one whose class sums are
+    near 1e-161, where |A|^2 is subnormal."""
+    rng = np.random.default_rng(23)
+    space = StateSpace.of_dimension(40)
+    for scale, eigenvalues in ((1.0, rng.integers(-6, 7, size=40) * 0.5),
+                               (1.0, rng.choice([-0.0, 0.0, 1.0, 2.5], size=40)),
+                               (1.0, rng.normal(size=40)),
+                               (1e-161, rng.integers(0, 3, size=40))):
+        initial = KetState(space, rng.normal(size=40) + 1j * rng.normal(size=40))
+        final = KetState(space, scale * (rng.normal(size=40) + 1j * rng.normal(size=40)),
+                         normalize=False)
+        yield build_network(initial, final, DiagonalObservable(space, eigenvalues))
+
+
+def test_class_probabilities_are_one_formula_everywhere():
+    for net in random_networks():
+        probabilities = net.probabilities
+        assert probabilities.shape == net.amplitudes.shape
+        assert net.perturbed_probability == float(probabilities.sum())
+        for i, (ev, amplitude) in enumerate(zip(net.observable.classes.values.tolist(),
+                                                 net.amplitudes.tolist())):
+            assert probabilities[i] == abs(amplitude) ** 2
+            assert net.probability_of(ev) == probabilities[i]
 
 
 def assert_scaled_by_a_power_of_two(net):
@@ -139,10 +172,10 @@ def test_conditional_distribution_divides_by_the_perturbed_probability():
     assert len(net.classes) == 13
     dist = conditional_reading_distribution(net)
     assert list(dist) == [c.eigenvalue for c in net.classes]
-    assert list(dist.values()) == [c.probability / net.perturbed_probability
-                                   for c in net.classes]
+    assert list(dist.values()) == [p / net.perturbed_probability
+                                   for p in net.probabilities.tolist()]
     assert [net.probability_of(c.eigenvalue) for c in net.classes] == \
-        [c.probability for c in net.classes]
+        net.probabilities.tolist()
 
 
 @pytest.mark.parametrize("call", [
