@@ -65,11 +65,11 @@ The rank is taken at x = 2 h max(h, |t|) over the targets within the cutoff
 (h itself keeps the sources' factors in range however close the targets
 sit), and past MAX_RANK the dense loop below runs instead.
 
-The dense kernel.  K_ab and G(x - a)/G(0) are one Gaussian,
+The dense kernel.  Over one block, K_ab and G(x - a)/G(0) are one Gaussian,
 exp(-c ((a - b)/w)^2) at c = 1/8 and c = 1/4, built in one pass over
-np.subtract.outer(a, b) under one overflow guard: where the difference, its
-quotient by w or the square passes the largest float, exp(-inf) makes the
-entry 0.  Over one block it is K times P, and one pointer product.  Over
+np.subtract.outer(a, b) under one overflow guard (_gauss): where the
+difference, its quotient by w or the square passes the largest float,
+exp(-inf) makes the entry 0.  It is K times P, and one pointer product.  Over
 more, only the band within reach is built: K_ab < 2^-60 exactly when
 |a - b| exceeds the reach sqrt(8) R w (R the cutoff above), the truncation
 the factored kernel pays.  The eigenvalues descend, so each block of
@@ -81,6 +81,26 @@ row too.  A window wider than BAND_COLUMNS is cut into column chunks, so
 every kernel block fills a contiguous prefix of one BLOCK_ROWS^2 buffer per
 call, laid out as a fresh array would be, so its terms keep every bit, and a
 mean reading never holds a k x k or BLOCK_ROWS x k array for k > BLOCK_ROWS.
+
+A band block at a width in SCALE_WIDTHS = [2^-511, 2^507] takes four passes.
+The first is the rank-2 product [a, -1] times [1; b], of two factors built
+once per call (_difference_factors).  Both products in each of its sums are
+exact, multiplications by +-1, so whatever order BLAS sums them in, with or
+without a fused multiply-add, a - b is rounded once: the bits of
+np.subtract.outer, an overflow to +-inf and a subnormal difference included.
+(Only (-0.0) - (+0.0) may read +0.0 instead of -0.0; the two zeros are one
+class, so the band never meets that pair, and its square is the same.)  A
+square and a product make the exponent fl((a - b)^2) s, with s = -1/(8 w^2)
+taken once per call in place of a division per entry, and exp is the fourth.
+In that range two things hold.  There w^2 is a normal float (w >= 2^-511) and
+1/(8 w^2) >= 2^-1017 is one too, so s is within 2u of -1/(8 w^2) (u = eps/2).
+And (a - b)^2 overflows exactly when |a - b| >= 2^512, which at w <= 2^507
+lies past the reach (sqrt(8) R < 18.25 < 2^5), where the true entry is below
+2^-60 and exp(-inf) = 0; a product fl((a - b)^2) s past the largest float is
+an entry below the smallest float, and reads 0 too.  Outside that range the
+band builds each block with _gauss, as over one block, whose
+((a - b)/w)^2 (-1/8) is the only form correct there: at w = 1e-320, 8 w^2 is
+0 and s infinite; at w = 1e308, w^2 is infinite and s is -0.
 
 Two limits bracket the meter.  As w -> 0, K -> I: the cross terms die,
 R_a = |A_a|^2, and the mean is the eigenvalue average under the
@@ -94,8 +114,15 @@ distribution).  Class sums off by d_a, sum_a |d_a| <= rho =
 PathDecomposition.rounding, move W by W(d) - 2 Re(d^H K A), in
 [-2 rho S, rho^2] for S = sum_a |A_a|.  Computing W rounds each term (whose
 absolute values total at most S^2) at most 2k + 2 times by u = eps/2, and a
-K_ab is off by at most 4u (the 5u relative error of its argument z, times
-|z| e^z <= 1/e, plus exp's rounding): (2k + 6) u S^2 <= c k eps S^2, c = 6.
+K_ab is off by at most 4u: the relative error of its argument z, times
+|z| e^z <= 1/e, plus exp's rounding u.  That error is 5u in
+((a - b)/w)^2 (-1/8) (a - b, the quotient and the square each round once, the
+square doubling the first two) and 6u in the band's fl((a - b)^2) s (a - b
+twice, the square once, s twice, the product once), so an entry is off by at
+most 6u/e + u < 3.3u.  Where (a - b)^2 is subnormal it is off by at most
+2^-1075 absolutely, which moves z by at most 2^-1075 |s|, about 2^-56 = u/8 at
+w = 2^-511; with it an entry is still within 3.5u.  So
+(2k + 6) u S^2 <= c k eps S^2, c = 6.
 The entries outside the windows are below 2^-60, so leaving them out moves
 W by at most 2^-60 S^2.  Windows are cut only past one block, k > BLOCK_ROWS,
 and there (2k + 6) u S^2 + 2^-60 S^2 stays under 6 k eps S^2.
@@ -142,6 +169,9 @@ _TAYLOR_STEPS = np.sqrt(2.0 / np.arange(1, MAX_RANK))[:, np.newaxis]
 # cutoff radius of a Gauss term, exp(-CUTOFF^2) = 2^-60: pointer targets past it read 0,
 # and the dense kernel's band stops at its reach, sqrt(8) CUTOFF w
 CUTOFF = math.sqrt(60.0 * math.log(2.0))
+# widths at which the band's exponent is (a - b)^2 (-1/(8 w^2)): w^2 is normal, and
+# (a - b)^2 overflows, at |a - b| >= 2^512, only past the reach (see the module docstring)
+SCALE_WIDTHS = (2.0 ** -511, 2.0 ** 507)
 
 
 def _as_float(value) -> float:
@@ -284,15 +314,35 @@ def _band(values: np.ndarray, width: float):
             yield block, slice(first, min(first + BAND_COLUMNS, stop))
 
 
+def _difference_factors(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The k x 2 factor [a, -1] and the 2 x k factor [1; b] over values: row a of the one
+    times column b of the other is a - b, rounded once (see the module docstring)."""
+    return (np.stack((values, np.full(values.size, -1.0)), axis=1),
+            np.stack((np.ones(values.size), values)))
+
+
 def _blocked_rows(values: np.ndarray, parts: np.ndarray, width: float) -> np.ndarray:
     """R_a = P_a . (K P)_a from the dense kernel over its band (_band); each entry serves
     the row of its block's class and that of its column past the block."""
     rows = np.zeros(values.size)
     # every kernel block fills a contiguous prefix, laid out as a fresh array would be
     buffer = np.empty(BLOCK_ROWS * BLOCK_ROWS)
+    left, right = _difference_factors(values)
+    low, high = SCALE_WIDTHS
+    scale = -0.125 / (width * width) if low <= width <= high else None
     for block, columns in _band(values, width):
         a, b = values[block], values[columns]
-        kernel = _gauss(a, b, width, 0.125, buffer[:a.size * b.size].reshape(a.size, b.size))
+        kernel = buffer[:a.size * b.size].reshape(a.size, b.size)
+        if scale is None:
+            _gauss(a, b, width, 0.125, kernel)
+        else:
+            # a - b, its square or the exponent passes the largest float only where the
+            # entry is below 2^-60, and exp(-inf) makes it 0
+            with np.errstate(over="ignore"):
+                np.matmul(left[block], right[:, columns], out=kernel)
+                np.square(kernel, out=kernel)
+                kernel *= scale
+            np.exp(kernel, out=kernel)
         rows[block] += ((kernel @ parts[columns]) * parts[block]).sum(axis=1)
         # b - a = -(a - b) exactly, so the columns past the block take the transpose
         past = slice(max(columns.start, block.stop), columns.stop)
@@ -358,7 +408,10 @@ def weak_value(decomposition: PathDecomposition,
     (PathDecomposition.rounding): below that bound its phase and size are
     noise.  The result is invariant under rescaling either state and is
     linear in the observable; for a single contributing path it reduces to
-    that path's eigenvalue.
+    that path's eigenvalue.  A weak value past the float range is defined
+    and is returned with an infinite part, not raised: eigenvalues 0 and
+    1e308 with amplitudes -1/sqrt(3) and 1/sqrt(6) give -inf for the exact
+    1e308/(1 - sqrt(2)), about -2.4e308.
     """
     if decomposition.space != observable.space:
         raise DimensionMismatch("observable lives over a different space than the transition")

@@ -137,7 +137,9 @@ def overlapping_pairs(states: Sequence[KetState]) -> list[tuple[int, int, float]
     if not states:
         return []
     rows = np.array([s.amplitudes for s in states])
-    gram = np.abs(np.conjugate(rows) @ rows.T)
+    # einsum sums in its own loops: a BLAS product here stalled some processes for 40 ms
+    # while OpenBLAS chose its thread count
+    gram = np.abs(np.einsum("ai,bi->ab", np.conjugate(rows), rows))
     return [(int(a), int(b), float(gram[a, b]))
             for a, b in zip(*np.nonzero(np.triu(gram, k=1) > 1e-9))]
 

@@ -15,7 +15,7 @@ from qpaths import (DiagonalObservable, KetState, StateSpace, build_network,
                     conditional_reading_distribution, decompose, expectation,
                     weak_value)
 from qpaths.cli import _real_text, emit
-from qpaths.meter import BAND_COLUMNS, BLOCK_ROWS, ROW_BLOCK
+from qpaths.meter import BAND_COLUMNS, BLOCK_ROWS, ROW_BLOCK, SCALE_WIDTHS
 
 TOL = 1e-10
 
@@ -60,7 +60,8 @@ def banded_mean_reading(values, class_amplitudes, width):
     summed in its order: each block of ROW_BLOCK rows against the columns from its first
     class to the last within w sqrt(480 ln 2) of its smallest eigenvalue (past that
     distance every entry is below 2^-60), BAND_COLUMNS columns at a time, and each entry
-    again for the row of its column when that column lies past the block."""
+    again for the row of its column when that column lies past the block.  The exponent is
+    (a - b)^2 (-1/(8 w^2)) for widths in SCALE_WIDTHS, else ((a - b)/w)^2 (-1/8)."""
     parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
     rows = np.zeros(values.size)
     reach = width * math.sqrt(480.0 * math.log(2.0))
@@ -72,9 +73,13 @@ def banded_mean_reading(values, class_amplitudes, width):
             last = min(first + BAND_COLUMNS, values.size - beyond)
             with np.errstate(over="ignore"):
                 kernel = np.subtract.outer(values[start:end], values[first:last])
-                kernel /= width
-                np.square(kernel, out=kernel)
-            kernel *= -1.0 / 8.0
+                if SCALE_WIDTHS[0] <= width <= SCALE_WIDTHS[1]:
+                    np.square(kernel, out=kernel)
+                    kernel *= -1.0 / 8.0 / (width * width)
+                else:
+                    kernel /= width
+                    np.square(kernel, out=kernel)
+                    kernel *= -1.0 / 8.0
             np.exp(kernel, out=kernel)
             rows[start:end] += ((kernel @ parts[first:last]) * parts[start:end]).sum(axis=1)
             past = max(first, end)

@@ -130,6 +130,28 @@ def test_mean_reading_query_at_float_limits(tmp_path, capsys, width, expected):
 
 
 @pytest.mark.filterwarnings("error")
+def test_weak_value_past_the_float_range_prints_as_infinite(tmp_path, capsys):
+    # the exact weak value is 1e308 / (1 - sqrt(2)), about -2.4e308: defined, not
+    # representable, so it prints as -inf (-Infinity in json) and the run exits 0
+    target = tmp_path / "infinite.scn"
+    target.write_text("dimension = 2\nbasis = a b\nstate i = -i 1\n"
+                      "state f = i 1/sqrt(2)\nobservable A = 0 1e308\n"
+                      "query weak final=f obs=A\n", encoding="utf-8")
+    outputs = {}
+    for fmt in ("table", "csv", "json"):
+        code, outputs[fmt], err = run_cli(capsys, "run", str(target), "--format", fmt)
+        assert code == 0
+        assert all(line.startswith("note: ") for line in err.splitlines())
+    assert outputs["table"].splitlines()[-1].split() == ["scenario", "f", "A", "(-inf,",
+                                                         "0)", "-inf"]
+    assert outputs["csv"].splitlines()[-1] == 'scenario,f,A,"(-inf, 0)",-inf'
+    row = json.loads(outputs["json"])[0]["rows"][0]
+    assert row["complex_value"] == {"re": -math.inf, "im": 0.0}
+    assert row["reported"] == -math.inf
+    assert '"reported": -Infinity' in outputs["json"]
+
+
+@pytest.mark.filterwarnings("error")
 def test_large_finite_state_is_the_same_ray(tmp_path, capsys):
     outputs = []
     for final in ("1e200 -3e200", "1 -3"):

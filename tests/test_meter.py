@@ -16,8 +16,9 @@ from qpaths import (DiagonalObservable, KetState, MeterModel,
                     hardy_epsilon, mean_reading, reading_amplitude, scaled_widths,
                     three_box, weak_limit_convergence, weak_value)
 from qpaths.measurement import PathwayNetwork
-from qpaths.meter import (BAND_COLUMNS, BLOCK_ROWS, CUTOFF, MAX_RANK, ROW_BLOCK, _band,
-                          _blocked_rows, taylor_rank)
+from qpaths.meter import (BAND_COLUMNS, BLOCK_ROWS, CUTOFF, MAX_RANK, ROW_BLOCK,
+                          SCALE_WIDTHS, _band, _blocked_rows, _difference_factors,
+                          taylor_rank)
 from qpaths.oracle import MEAN_READING_TOL, WIDTH_RATIOS
 
 
@@ -580,6 +581,57 @@ def test_narrow_mean_reading_matches_the_kernel_without_skips(spectrum):
         bound = 6 * values.size * np.finfo(float).eps * float(np.abs(amplitudes).sum()) ** 2
         tolerance = bound * (float(np.abs(values).max()) + abs(expected)) / abs(denominator)
         assert abs(mean_reading(dec, obs, MeterModel(width)) - expected) <= tolerance
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_band_differences_are_np_subtract_outer_bit_for_bit(zero):
+    # classes as the band meets them, one zero of either sign ((-0.0) - (+0.0) would read
+    # +0.0, but the two zeros are one class): subnormals, pairs whose difference overflows
+    # to +-inf, near-equal values and a large offset
+    rng = np.random.default_rng(43)
+    specials = [1.5e308, 1e308, 1.0, 1e-300, 2.5e-310, 5e-324, zero, -5e-324, -1e-310,
+                -1e308, -1.5e308]
+    near = 1.0 + np.arange(1, 300) * 2.0 ** -52
+    values = np.concatenate((specials, near, 1e12 + rng.permutation(600)))
+    values = values[np.argsort(-values, kind="stable")]
+    left, right = _difference_factors(values)
+    buffer = np.empty(BLOCK_ROWS * BLOCK_ROWS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for start in range(0, values.size, ROW_BLOCK):
+            block = slice(start, start + ROW_BLOCK)
+            for first in range(0, values.size, BAND_COLUMNS):
+                columns = slice(first, first + BAND_COLUMNS)
+                rows, cols = values[block].size, values[columns].size
+                buffer.fill(np.nan)
+                differences = buffer[:rows * cols].reshape(rows, cols)
+                with np.errstate(over="ignore"):
+                    np.matmul(left[block], right[:, columns], out=differences)
+                    expected = np.subtract.outer(values[block], values[columns])
+                assert np.array_equal(differences.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("width", [1e-307, SCALE_WIDTHS[0], SCALE_WIDTHS[1], 2.0 ** 510, 1e303])
+def test_band_at_and_past_the_scale_widths_matches_the_kernel_without_skips(width):
+    # a spectrum of about 100 widths, so the dense band runs: at each end of the widths
+    # whose exponent is (a - b)^2 (-1/(8 w^2)), just past the upper end, where (a - b)^2
+    # overflows within the reach, and far past both ends, near 1e-305 and 1e305
+    space, dec, rng = random_transition(600, 47)
+    spectrum = rng.normal(size=600)
+    obs = DiagonalObservable(space, spectrum * (100.0 * width / np.ptp(spectrum)))
+    values = obs.classes.values
+    assert taylor_rank((obs.spread / width) ** 2 / 16.0) > MAX_RANK
+    assert values[ROW_BLOCK - 1] - values[-1] > reach(width)
+    amplitudes = PathwayNetwork.of(dec, obs).amplitudes
+    numerator, denominator = blocked_mean_reading(values, amplitudes, width)
+    expected = numerator / denominator
+    # the bound of test_narrow_mean_reading_matches_the_kernel_without_skips
+    bound = 6 * values.size * np.finfo(float).eps * float(np.abs(amplitudes).sum()) ** 2
+    tolerance = bound * (float(np.abs(values).max()) + abs(expected)) / abs(denominator)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reading = mean_reading(dec, obs, MeterModel(width))
+    assert abs(reading - expected) <= tolerance
 
 
 def test_narrow_meter_over_the_whole_float_range_raises_no_warning():
