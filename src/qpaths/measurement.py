@@ -22,7 +22,8 @@ import numpy as np
 from .errors import (DimensionMismatch, NonProjectorError,
                      PostSelectionImpossible)
 from .pathsum import EPS, PathDecomposition, decompose
-from .statespace import DiagonalObservable, KetState, _power_of_two_scaled, expectation
+from .statespace import (DiagonalObservable, KetState, _power_of_two_scaled, _squared_moduli,
+                         expectation)
 
 CERTAINTY_TOL = 1e-10
 
@@ -33,12 +34,6 @@ class PathwayClass(NamedTuple):
     eigenvalue: float
     members: tuple[int, ...]
     amplitude: complex
-
-
-def _squared_moduli(amplitudes: np.ndarray) -> np.ndarray:
-    """|A|^2 of each entry."""
-    # np.hypot rounds as abs(complex) does; np.abs of complex can differ in the last bit
-    return np.hypot(amplitudes.real, amplitudes.imag) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +69,9 @@ class PathwayNetwork:
     @cached_property
     def classes(self) -> tuple[PathwayClass, ...]:
         """One PathwayClass per eigenvalue, in the order of the amplitudes."""
-        values, index, order = self.observable.classes
-        members = order.tolist()
+        values, index = self.observable.classes
+        # the paths sorted by class, in path order within a class
+        members = np.argsort(index, kind="stable").tolist()
         ends = np.cumsum(np.bincount(index, minlength=values.size)).tolist()
         return tuple(PathwayClass(ev, tuple(members[start:end]), amp)
                      for ev, start, end, amp in zip(values.tolist(), [0] + ends, ends,
@@ -117,11 +113,7 @@ class PathwayNetwork:
 
 def build_network(initial: KetState, final: KetState,
                   observable: DiagonalObservable) -> PathwayNetwork:
-    """Group the transition's paths by the observable's eigenvalues.
-
-    Classes are ordered by eigenvalue, largest first; members keep path
-    order, taken from the observable's classes (DiagonalObservable.classes).
-    """
+    """Group the transition's paths by the observable's eigenvalues (PathwayNetwork.of)."""
     return PathwayNetwork.of(decompose(initial, final), observable)
 
 
@@ -188,8 +180,9 @@ def sum_rule_report(initial: KetState, final: KetState,
     if np.any(first.eigenvalues * second.eigenvalues != 0.0):
         raise NonProjectorError("sum rule needs projectors with disjoint support")
     combined = first + second
-
-    ja, jb, jc = (build_network(initial, final, obs).probability_of(1.0)
+    # one set of virtual paths, regrouped by each measurement into its own classes
+    paths = decompose(initial, final)
+    ja, jb, jc = (PathwayNetwork.of(paths, obs).probability_of(1.0)
                   for obs in (first, second, combined))
     aa, ab, ac = (all_outcomes_probability(initial, obs) for obs in (first, second, combined))
     return SumRuleReport(
@@ -222,9 +215,9 @@ def product_rule_report(initial: KetState, final: KetState,
     if not (first.is_projector and second.is_projector):
         raise NonProjectorError("product rule applies to projectors")
     product = DiagonalObservable(first.space, first.eigenvalues * second.eigenvalues)
-    ca = certain_reading(build_network(initial, final, first))
-    cb = certain_reading(build_network(initial, final, second))
-    cp = certain_reading(build_network(initial, final, product))
+    paths = decompose(initial, final)
+    ca, cb, cp = (certain_reading(PathwayNetwork.of(paths, obs))
+                  for obs in (first, second, product))
     if ca is None or cb is None:
         holds = True  # no joint certainty claimed, nothing to contradict
     else:

@@ -69,8 +69,10 @@ The dense kernel.  Over one block, K_ab and G(x - a)/G(0) are one Gaussian,
 exp(-c ((a - b)/w)^2) at c = 1/8 and c = 1/4, built in one pass over
 np.subtract.outer(a, b) under one overflow guard (_gauss): where the
 difference, its quotient by w or the square passes the largest float,
-exp(-inf) makes the entry 0.  It is K times P, and one pointer product.  Over
-more, only the band within reach is built: K_ab < 2^-60 exactly when
+exp(-inf) makes the entry 0.  It is K times P.  The pointer amplitude adds one
+pointer product per block of BLOCK_ROWS classes to the first block's product
+(a zeroed start would make -0.0 read 0.0).  Over more than one block, only
+the band within reach is built: K_ab < 2^-60 exactly when
 |a - b| exceeds the reach sqrt(8) R w (R the cutoff above), the truncation
 the factored kernel pays.  The eigenvalues descend, so each block of
 ROW_BLOCK rows takes one window of columns, from its own first class to the
@@ -152,7 +154,7 @@ from .errors import (DimensionMismatch, MeterStatisticsUndefined,
                      WeakValueUndefined)
 from .measurement import PathwayNetwork
 from .pathsum import PathDecomposition
-from .statespace import DiagonalObservable
+from .statespace import DiagonalObservable, _power_of_two_scaled
 
 # classes per block: up to BLOCK_ROWS classes a mean reading builds one dense kernel; past
 # it the band builds K ROW_BLOCK rows by up to BAND_COLUMNS columns, at most BLOCK_ROWS^2
@@ -216,12 +218,12 @@ def reading_amplitude(decomposition: PathDecomposition,
     parts = network.amplitudes.view(float).reshape(-1, 2)
     x = np.asarray(x, dtype=float)
     # the pointer is real, so the sum is a real product with [Re A, Im A]
-    if values.size <= BLOCK_ROWS:
-        sums = _pointer(x, values, meter.width) @ parts
-    elif (sums := _factored_pointer(values, parts, meter, observable.spread, x)) is None:
-        sums = np.zeros(x.shape + (2,))
-        for start in range(0, values.size, BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
+    if (values.size <= BLOCK_ROWS
+            or (sums := _factored_pointer(values, parts, meter, observable.spread, x)) is None):
+        # from the first block's product: a zeroed start would turn a -0.0 entry into 0.0
+        blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, values.size, BLOCK_ROWS)]
+        sums = _pointer(x, values[blocks[0]], meter.width) @ parts[blocks[0]]
+        for block in blocks[1:]:
             sums += _pointer(x, values[block], meter.width) @ parts[block]
     result = sums.view(complex)[..., 0]
     return complex(result) if result.ndim == 0 else result
@@ -381,10 +383,9 @@ def mean_reading(decomposition: PathDecomposition,
     if network.vanishes(denominator):
         raise MeterStatisticsUndefined(
             "post-selection succeeds with probability zero; no reading distribution")
-    # values @ rows can pass the largest float, so it is taken at an exact power-of-two
-    # scale that brings the largest |a| (at one end, as values are sorted) into [1, 2)
-    e = math.frexp(max(values[0], -values[-1]))[1] - 1
-    return float(np.ldexp(values, -e) @ rows / denominator) * math.ldexp(1.0, e)
+    # values @ rows can pass the largest float, so it is taken at an exact power-of-two scale
+    scaled, e = _power_of_two_scaled(values)
+    return float(scaled @ rows / denominator) * math.ldexp(1.0, e)
 
 
 @dataclass(frozen=True)

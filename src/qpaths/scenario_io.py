@@ -263,13 +263,16 @@ def parse(text: str) -> ScenarioDocument:
             if dimension is not None:
                 raise ScenarioParseError("duplicate 'dimension' line", lineno, kcol)
             _expect_equals(tokens, 1, lineno)
-            if len(tokens) != 3 or not re.fullmatch(r"[0-9]+", tokens[2][0]):
+            if len(tokens) != 3 or not re.fullmatch(r"0*[1-9][0-9]*", tokens[2][0]):
                 col = tokens[2][1] if len(tokens) > 2 else kcol
                 raise ScenarioParseError("dimension must be a positive integer", lineno, col)
-            dimension = int(tokens[2][0])
-            if dimension < 1:
-                raise ScenarioParseError("dimension must be a positive integer",
-                                         lineno, tokens[2][1])
+            try:
+                # int() reads a limited number of digits, so leading zeros go first
+                dimension = int(tokens[2][0].lstrip("0"))
+            except ValueError:
+                raise ScenarioParseError(
+                    f"dimension {_quoted(tokens[2][0])} is longer than int()'s limit of "
+                    f"{sys.get_int_max_str_digits()} digits", lineno, tokens[2][1]) from None
 
         elif keyword == "basis":
             if basis is not None:

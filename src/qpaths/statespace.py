@@ -32,6 +32,12 @@ def _power_of_two_scaled(values: np.ndarray, floor: float = 0.0) -> tuple[np.nda
     return np.ldexp(parts, -e).view(values.dtype), e
 
 
+def _squared_moduli(amplitudes: np.ndarray) -> np.ndarray:
+    """|z|^2 of each entry."""
+    # np.hypot rounds as abs(complex) does; np.abs of complex can differ in the last bit
+    return np.hypot(amplitudes.real, amplitudes.imag) ** 2
+
+
 def unit_scaled(values: np.ndarray) -> tuple[np.ndarray, float]:
     """(unit, norm): the one rule that turns a declared vector into a state.
 
@@ -56,15 +62,13 @@ class EigenvalueClasses(NamedTuple):
     """How an observable's eigenvalues partition the paths, one class each.
 
     values: the distinct eigenvalues, largest first, with -0.0 and 0.0
-    one class reported as 0.0.  index: the class of every path.  order:
-    the paths sorted by class, in path order within a class.  The
-    grouping is exact, with no floating tolerance.  All three arrays are
-    read-only.
+    one class reported as 0.0.  index: the class of every path, a
+    position in values.  The grouping is exact, with no floating
+    tolerance.  Both arrays are read-only.
     """
 
     values: np.ndarray
     index: np.ndarray
-    order: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -171,10 +175,9 @@ class DiagonalObservable:
         ascending, inverse = np.unique(self.eigenvalues, return_inverse=True)
         values = ascending[::-1] + 0.0  # adding 0.0 turns a -0.0 representative into 0.0
         index = (ascending.size - 1) - inverse
-        order = np.argsort(index, kind="stable")
-        for arr in (values, index, order):
+        for arr in (values, index):
             arr.setflags(write=False)
-        return EigenvalueClasses(values, index, order)
+        return EigenvalueClasses(values, index)
 
     @property
     def is_projector(self) -> bool:
@@ -206,5 +209,4 @@ def expectation(state: KetState, observable: DiagonalObservable) -> float:
     """<state|F|state> for a unit-norm state: sum of F(n)|amp_n|^2."""
     if state.space != observable.space:
         raise DimensionMismatch("state and observable live over different spaces")
-    weights = np.abs(state.amplitudes) ** 2
-    return float(np.real(np.sum(observable.eigenvalues * weights)))
+    return float(np.sum(observable.eigenvalues * _squared_moduli(state.amplitudes)))

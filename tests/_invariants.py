@@ -91,9 +91,10 @@ def banded_mean_reading(values, class_amplitudes, width):
 
 def blocked_reading_amplitude(values, class_amplitudes, width, x):
     """Class-level reference: sum_a G(x - a) A_a at every point of x, summed one block
-    of classes at a time into a zeroed array, as meter.reading_amplitude does wherever
-    the factored kernel does not run, with G computed in the same steps as
-    MeterModel.pointer_amplitude."""
+    of classes at a time into a zeroed array, with G computed in the same steps as
+    MeterModel.pointer_amplitude.  meter.reading_amplitude sums the same blocks from
+    the first block's product wherever the factored kernel does not run, so the two
+    agree to the bit but for the sign of a zero."""
     parts = np.stack((class_amplitudes.real, class_amplitudes.imag), axis=1)
     sums = np.zeros(x.shape + (2,))
     for start in range(0, values.size, BLOCK_ROWS):

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qpaths.measurement
 import qpaths.statespace
 from qpaths import (DiagonalObservable, KetState, MeterModel, MeterStatisticsUndefined,
-                    StateSpace, build_network, decompose, mean_reading,
+                    PathwayNetwork, StateSpace, build_network, decompose, mean_reading,
                     product_rule_report, scaled_widths, weak_limit_convergence)
 from qpaths.cli import width_sweep_table
 from qpaths.scenarios import hardy
@@ -19,7 +18,7 @@ def fresh_classes(observable: DiagonalObservable) -> EigenvalueClasses:
     """The grouping recomputed from the eigenvalues on every call."""
     ascending, inverse = np.unique(observable.eigenvalues, return_inverse=True)
     index = (ascending.size - 1) - inverse
-    return EigenvalueClasses(ascending[::-1] + 0.0, index, np.argsort(index, kind="stable"))
+    return EigenvalueClasses(ascending[::-1] + 0.0, index)
 
 
 def assert_same_classes(got: EigenvalueClasses, want: EigenvalueClasses) -> None:
@@ -102,12 +101,13 @@ def test_product_rule_product_gets_its_own_classes(monkeypatch):
     first, second = sc.observable("N(2-)"), sc.observable("N(2+)")
     first.classes, second.classes
     seen = []
+    of = PathwayNetwork.of
 
-    def recording(initial, final, observable):
+    def recording(decomposition, observable):
         seen.append(observable)
-        return build_network(initial, final, observable)
+        return of(decomposition, observable)
 
-    monkeypatch.setattr(qpaths.measurement, "build_network", recording)
+    monkeypatch.setattr(PathwayNetwork, "of", recording)
     report = product_rule_report(sc.initial, sc.final("f"), first, second)
     assert report.certain_product == 0.0
     product = seen[-1]

@@ -102,6 +102,21 @@ def test_rational_past_the_digit_limit_is_rejected_by_name():
                                  f"integer longer than int()'s limit of {limit} digits")
 
 
+def test_dimension_past_the_digit_limit_is_rejected_by_name():
+    limit = sys.get_int_max_str_digits()
+    bad = "1" + "0" * limit
+    with pytest.raises(ScenarioParseError) as err:
+        parse(MINIMAL.replace("dimension = 2", f"dimension = {bad}"))
+    assert (err.value.line, err.value.column) == (1, 13)
+    assert err.value.message == (f"dimension {bad[:40]!r}... ({len(bad)} characters) is "
+                                 f"longer than int()'s limit of {limit} digits")
+
+
+def test_dimension_with_leading_zeros_past_the_digit_limit_reads_its_value():
+    padded = "0" * sys.get_int_max_str_digits() + "2"
+    assert parse(MINIMAL.replace("dimension = 2", f"dimension = {padded}")).dimension == 2
+
+
 @pytest.mark.parametrize("bad, message", [
     ("(1, 2, 3{})", "bad complex pair {}"), ("1x{}", "bad real literal {}"),
     ("1/sqrt({})", "surd radicand must be positive in {}"), ("1/0{}", "division by zero in {}"),

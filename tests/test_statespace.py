@@ -198,6 +198,23 @@ def test_expectation():
     assert expectation(ket, obs) == pytest.approx(2.0, abs=1e-15)
 
 
+def test_expectation_squares_moduli_by_the_class_probability_rule():
+    # <i|F|i> takes |amp_n|^2 as np.hypot(re, im)^2, as every class probability does;
+    # np.abs(amp_n)^2 differs from it in the last bit for about a third of the entries
+    rng = np.random.default_rng(43)
+    space = StateSpace.of_dimension(16)
+    obs = DiagonalObservable(space, rng.normal(size=16))
+    for scale in (None, 1e-160, 1e150):
+        for _ in range(200):
+            amplitudes = rng.normal(size=16) + 1j * rng.normal(size=16)
+            # a unit state, or one whose |amp|^2 are subnormal or near 1e300
+            ket = (KetState(space, amplitudes) if scale is None
+                   else KetState(space, scale * amplitudes, normalize=False))
+            a = ket.amplitudes
+            assert expectation(ket, obs) == float(
+                np.sum(obs.eigenvalues * np.hypot(a.real, a.imag) ** 2))
+
+
 def test_fourier_family_is_complete_and_orthonormal():
     space = StateSpace.of_dimension(5)
     family = fourier_family(space)
