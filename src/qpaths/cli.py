@@ -37,10 +37,7 @@ class Table:
 
 
 def _real_text(x: float) -> str:
-    value = float(x)
-    if value == 0.0:
-        value = 0.0  # canonicalize negative zero
-    return f"{value:.12g}"
+    return f"{float(x) + 0.0:.12g}"  # adding 0.0 turns -0.0 into 0.0
 
 
 def _cell_text(cell) -> str:

@@ -177,9 +177,9 @@ def sum_rule_report(initial: KetState, final: KetState,
     """Compare reading-1 probabilities of two disjoint projectors and their sum."""
     if not (first.is_projector and second.is_projector):
         raise NonProjectorError("sum rule applies to projectors")
+    combined = first + second
     if np.any(first.eigenvalues * second.eigenvalues != 0.0):
         raise NonProjectorError("sum rule needs projectors with disjoint support")
-    combined = first + second
     # one set of virtual paths, regrouped by each measurement into its own classes
     paths = decompose(initial, final)
     ja, jb, jc = (PathwayNetwork.of(paths, obs).probability_of(1.0)
@@ -214,7 +214,7 @@ def product_rule_report(initial: KetState, final: KetState,
     """Check whether certain readings of two projectors multiply through."""
     if not (first.is_projector and second.is_projector):
         raise NonProjectorError("product rule applies to projectors")
-    product = DiagonalObservable(first.space, first.eigenvalues * second.eigenvalues)
+    product = first * second
     paths = decompose(initial, final)
     ca, cb, cp = (certain_reading(PathwayNetwork.of(paths, obs))
                   for obs in (first, second, product))

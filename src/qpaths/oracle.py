@@ -1,12 +1,12 @@
-"""Independent cross-checks for the path and meter machinery.
+"""Cross-checks for the path and meter machinery.
 
-Two deliberately different computation routes back the main library:
+Two different computation routes back the main library:
 
 * projective_joint re-derives the accurate-measurement statistics with
   explicit spectral projector matrices and dense linear algebra, never
   touching the path decomposition;
-* grid_mean_reading integrates the pointer density numerically on a
-  wide grid, never using the closed-form overlap kernel.
+* grid_mean_reading integrates meter.reading_amplitude's pointer density (the
+  kernel's Gaussian) on a wide grid, never using the closed-form overlap kernel.
 
 verification_checks runs both against the built-in scenario library and
 reports a pass/fail line per comparison.
@@ -14,7 +14,7 @@ reports a pass/fail line per comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import MeterStatisticsUndefined
 from .measurement import PathwayNetwork, build_network
 from .meter import MeterModel, mean_reading, reading_amplitude, scaled_widths
 from .pathsum import PathDecomposition, decompose
+from .scenarios import built_in_library
 from .statespace import DiagonalObservable, KetState
 
 GRID_POINTS = 2 ** 14
@@ -61,7 +62,7 @@ def grid_mean_reading(decomposition: PathDecomposition,
         raise ValueError("reading grid needs at least 4096 points")
     network = PathwayNetwork.of(decomposition, observable)
     paths = np.ldexp(decomposition.amplitudes.view(float), -network.scaled[2])
-    dec = replace(decomposition, amplitudes=paths.view(complex))
+    dec = PathDecomposition(decomposition.space, paths.view(complex))
     pad = GRID_PADDING * meter.width
     x = np.linspace(float(observable.eigenvalues.min()) - pad,
                     float(observable.eigenvalues.max()) + pad, points)
@@ -93,38 +94,34 @@ WIDTH_RATIOS = (0.01, 0.1, 1.0, 10.0, 100.0)
 
 
 def verification_checks() -> list[CheckResult]:
-    """Cross-validate both computation routes over the built-in scenarios."""
-    from .scenarios import built_in_library
-
-    checks: list[CheckResult] = []
+    """Cross-validate both computation routes over the built-in scenarios: every
+    projective check, then every mean-reading check, then the grid refinement."""
+    projective: list[CheckResult] = []
+    readings: list[CheckResult] = []
     library = built_in_library()
 
     for scenario in library:
         for obs_name, obs in scenario.observables.items():
-            worst = 0.0
+            worst_projective = worst_reading = 0.0
             for fin in scenario.finals.values():
-                net = build_network(scenario.initial, fin, obs)
+                net = build_network(scenario.initial, fin, obs)  # read by both checks
                 reference = projective_joint(scenario.initial, fin, obs)
                 for ev, prob in reference.items():
-                    worst = max(worst, abs(net.probability_of(ev) - prob))
-            checks.append(CheckResult(f"projective {scenario.name} {obs_name}",
-                                      worst, PROJECTIVE_TOL))
-
-    for scenario in library:
-        for obs_name, obs in scenario.observables.items():
-            worst = 0.0
-            for fin in scenario.finals.values():
-                dec = decompose(scenario.initial, fin)
+                    worst_projective = max(worst_projective,
+                                           abs(net.probability_of(ev) - prob))
                 for width in scaled_widths(obs, WIDTH_RATIOS):
                     meter = MeterModel(width)
                     try:
-                        closed = mean_reading(dec, obs, meter)
+                        closed = mean_reading(net.decomposition, obs, meter)
                     except MeterStatisticsUndefined:
                         continue
-                    numeric = grid_mean_reading(dec, obs, meter)
-                    worst = max(worst, abs(closed - numeric))
-            checks.append(CheckResult(f"mean-reading {scenario.name} {obs_name}",
-                                      worst, MEAN_READING_TOL))
+                    numeric = grid_mean_reading(net.decomposition, obs, meter)
+                    worst_reading = max(worst_reading, abs(closed - numeric))
+            label = f"{scenario.name} {obs_name}"
+            projective.append(CheckResult(f"projective {label}", worst_projective,
+                                          PROJECTIVE_TOL))
+            readings.append(CheckResult(f"mean-reading {label}", worst_reading,
+                                        MEAN_READING_TOL))
 
     hardy = library[1]
     fin = next(iter(hardy.finals.values()))
@@ -133,6 +130,5 @@ def verification_checks() -> list[CheckResult]:
     meter = MeterModel(obs.spread)
     coarse = grid_mean_reading(dec, obs, meter)
     fine = grid_mean_reading(dec, obs, meter, 2 * GRID_POINTS)
-    checks.append(CheckResult(f"grid-refinement {hardy.name}",
-                              abs(fine - coarse), REFINEMENT_TOL))
-    return checks
+    return projective + readings + [CheckResult(f"grid-refinement {hardy.name}",
+                                                abs(fine - coarse), REFINEMENT_TOL)]

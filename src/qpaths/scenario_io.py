@@ -20,7 +20,7 @@ value is a real.  A meter width in a query is a real above zero (width=1/2,
 widths=0.01,1/sqrt(2),100, no entry empty), in units of the observable's
 eigenvalue spread.
 Digits are ASCII, and a leading byte-order mark is ignored.  Errors carry
-1-based line and column positions, quote a rejected literal by its first 40
+1-based line and column positions, quote each token they name by its first 40
 characters, and parsing never raises anything else.
 
 The names three-box, hardy, and hardy-epsilon are reserved for the
@@ -212,10 +212,9 @@ def _parse_complex(token: str, line: int, col: int) -> complex:
                    _real_value(imag, line, col) if imag else 0.0)
 
 
-def _check_name(token: str, what: str, line: int, col: int) -> str:
+def _check_name(token: str, what: str, line: int, col: int) -> None:
     if "=" in token:
-        raise ScenarioParseError(f"{what} {token!r} may not contain '='", line, col)
-    return token
+        raise ScenarioParseError(f"{what} {_quoted(token)} may not contain '='", line, col)
 
 
 def _expect_equals(tokens: list[tuple[str, int]], index: int, line: int) -> None:
@@ -234,6 +233,7 @@ def parse(text: str) -> ScenarioDocument:
     queries: list[QueryDirective] = []
     positions: dict = {}
     seen_names: dict[str, int] = {}
+    once: set[str] = set()  # the sections a file may hold one line of, seen so far
 
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -241,27 +241,27 @@ def parse(text: str) -> ScenarioDocument:
         if not tokens:
             continue
         keyword, kcol = tokens[0]
+        if keyword in ("name", "dimension", "basis"):
+            if keyword in once:
+                raise ScenarioParseError(f"duplicate {keyword!r} line", lineno, kcol)
+            once.add(keyword)
 
         if keyword == "name":
-            if name is not None:
-                raise ScenarioParseError("duplicate 'name' line", lineno, kcol)
             _expect_equals(tokens, 1, lineno)
             if len(tokens) != 3:
                 raise ScenarioParseError("expected exactly one name after '='", lineno, kcol)
             candidate, ncol = tokens[2]
             if not _NAME_RE.fullmatch(candidate):
                 raise ScenarioParseError(
-                    f"bad scenario name {candidate!r} (letters, digits, '.', '_', '-')",
+                    f"bad scenario name {_quoted(candidate)} (letters, digits, '.', '_', '-')",
                     lineno, ncol)
             if candidate in RESERVED_NAMES:
                 raise ScenarioParseError(
-                    f"scenario name {candidate!r} is reserved for the built-in library",
+                    f"scenario name {_quoted(candidate)} is reserved for the built-in library",
                     lineno, ncol)
             name = candidate
 
         elif keyword == "dimension":
-            if dimension is not None:
-                raise ScenarioParseError("duplicate 'dimension' line", lineno, kcol)
             _expect_equals(tokens, 1, lineno)
             if len(tokens) != 3 or not re.fullmatch(r"0*[1-9][0-9]*", tokens[2][0]):
                 col = tokens[2][1] if len(tokens) > 2 else kcol
@@ -275,21 +275,21 @@ def parse(text: str) -> ScenarioDocument:
                     f"{sys.get_int_max_str_digits()} digits", lineno, tokens[2][1]) from None
 
         elif keyword == "basis":
-            if basis is not None:
-                raise ScenarioParseError("duplicate 'basis' line", lineno, kcol)
             if dimension is None:
                 raise ScenarioParseError("'basis' requires a 'dimension' line first",
                                          lineno, kcol)
             _expect_equals(tokens, 1, lineno)
             labels = tokens[2:]
             if len(labels) != dimension:
+                digits = _quoted(str(dimension)).replace("'", "")  # the excerpt rule, unquoted
                 raise ScenarioParseError(
-                    f"expected {dimension} basis labels, got {len(labels)}", lineno, kcol)
+                    f"expected {digits} basis labels, got {len(labels)}", lineno, kcol)
             seen: dict[str, int] = {}
             for label, col in labels:
                 _check_name(label, "basis label", lineno, col)
                 if label in seen:
-                    raise ScenarioParseError(f"duplicate basis label {label!r}", lineno, col)
+                    raise ScenarioParseError(f"duplicate basis label {_quoted(label)}",
+                                             lineno, col)
                 seen[label] = col
             basis = tuple(label for label, _ in labels)
 
@@ -303,13 +303,13 @@ def parse(text: str) -> ScenarioDocument:
             _check_name(item_name, f"{keyword} name", lineno, ncol)
             if item_name in seen_names:
                 raise ScenarioParseError(
-                    f"duplicate name {item_name!r} (first declared on line "
+                    f"duplicate name {_quoted(item_name)} (first declared on line "
                     f"{seen_names[item_name]})", lineno, ncol)
             _expect_equals(tokens, 2, lineno)
             values = tokens[3:]
             if len(values) != dimension:
                 raise ScenarioParseError(
-                    f"expected {dimension} values for {item_name!r}, got {len(values)}",
+                    f"expected {dimension} values for {_quoted(item_name)}, got {len(values)}",
                     lineno, kcol)
             seen_names[item_name] = lineno
             if keyword == "state":
@@ -327,27 +327,25 @@ def parse(text: str) -> ScenarioDocument:
             kind, qcol = tokens[1]
             if kind not in QUERY_KINDS:
                 raise ScenarioParseError(
-                    f"unknown query kind {kind!r}: expected one of {', '.join(QUERY_KINDS)}",
-                    lineno, qcol)
+                    f"unknown query kind {_quoted(kind)}: expected one of "
+                    f"{', '.join(QUERY_KINDS)}", lineno, qcol)
             pairs: list[tuple[str, str]] = []
             cols: list[int] = []
             for tok, col in tokens[2:]:
-                if "=" not in tok:
-                    raise ScenarioParseError(
-                        f"query argument {tok!r} must look like key=value", lineno, col)
                 key, _, value = tok.partition("=")
                 if not key or not value:
                     raise ScenarioParseError(
-                        f"query argument {tok!r} must look like key=value", lineno, col)
+                        f"query argument {_quoted(tok)} must look like key=value", lineno, col)
                 if any(k == key for k, _ in pairs):
-                    raise ScenarioParseError(f"duplicate query argument {key!r}", lineno, col)
+                    raise ScenarioParseError(f"duplicate query argument {_quoted(key)}",
+                                             lineno, col)
                 pairs.append((key, value))
                 cols.append(col)
             queries.append(QueryDirective(kind, tuple(pairs), lineno, tuple(cols)))
 
         else:
             raise ScenarioParseError(
-                f"unknown section {keyword!r} (expected name, dimension, basis, "
+                f"unknown section {_quoted(keyword)} (expected name, dimension, basis, "
                 "state, observable, or query)", lineno, kcol)
 
     end = max(len(lines), 1)
@@ -412,7 +410,7 @@ def _check_query(q: QueryDirective, scenario: Scenario) -> None:
     keys = [k for k, _ in q.arguments]
     for key in keys:
         if key not in required:
-            raise _query_error(q, key, f"query {q.kind!r} does not take argument {key!r}")
+            raise _query_error(q, key, f"query {q.kind!r} does not take argument {_quoted(key)}")
     for key in required:
         if key not in keys:
             raise ScenarioParseError(
@@ -425,8 +423,8 @@ def _check_query(q: QueryDirective, scenario: Scenario) -> None:
                 named[key] = lookup(q.argument(key))
             except UnknownNameError as exc:
                 raise _query_error(q, key, str(exc)) from None
-    if q.kind in ("mean-reading", "scan"):
-        obs, key = named["obs"], QUERY_ARGS[q.kind][-1]
+    if required and required[-1] in QUERY_VALUE_TYPES:  # the kind takes a meter width
+        obs, key = named["obs"], required[-1]
         try:
             scaled_widths(obs, ())
         except ValueError as exc:
@@ -435,7 +433,7 @@ def _check_query(q: QueryDirective, scenario: Scenario) -> None:
             scaled_widths(obs, np.atleast_1d(QUERY_VALUE_TYPES[key](q.argument(key))))
         except ValueError as exc:
             raise _query_error(q, key, str(exc)) from None
-    if q.kind in ("sum-rule", "product-rule"):
+    if "obs2" in required:  # the kind takes two projectors
         first, second = named["obs"], named["obs2"]
         for key, obs in (("obs", first), ("obs2", second)):
             if not obs.is_projector:
@@ -466,10 +464,11 @@ def validate(doc: ScenarioDocument) -> Scenario:
         try:
             unit, norm = unit_scaled(arr)
         except ZeroStateError:
-            raise ScenarioParseError(f"state {name!r} has zero norm",
+            raise ScenarioParseError(f"state {_quoted(name)} has zero norm",
                                      *doc.positions.get(name, (1, 1))) from None
         if unit is not arr:
-            notes.append(f"state {name!r} renormalized (declared norm {_norm_text(arr, norm)})")
+            notes.append(f"state {_quoted(name)} renormalized "
+                         f"(declared norm {_norm_text(arr, norm)})")
         return KetState(space, unit, normalize=False)
 
     initial = build_state(doc.initial_name, doc.initial)
@@ -479,7 +478,7 @@ def validate(doc: ScenarioDocument) -> Scenario:
 
     names = list(finals)
     for a, b, overlap in overlapping_pairs(list(finals.values())):
-        notes.append(f"final states {names[a]!r} and {names[b]!r} are not "
+        notes.append(f"final states {_quoted(names[a])} and {_quoted(names[b])} are not "
                      f"orthogonal (|overlap| = {overlap:.6g})")
 
     scenario = Scenario(

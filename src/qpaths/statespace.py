@@ -190,10 +190,17 @@ class DiagonalObservable:
         values = self.classes.values
         return float(values[0]) - float(values[-1])
 
-    def __add__(self, other: DiagonalObservable) -> DiagonalObservable:
+    def _combined(self, other: DiagonalObservable, op) -> DiagonalObservable:
+        """The one rule for combining two observables: op of their eigenvalues, path by path."""
         if self.space != other.space:
             raise DimensionMismatch("observables live over different spaces")
-        return DiagonalObservable(self.space, self.eigenvalues + other.eigenvalues)
+        return DiagonalObservable(self.space, op(self.eigenvalues, other.eigenvalues))
+
+    def __add__(self, other: DiagonalObservable) -> DiagonalObservable:
+        return self._combined(other, np.add)
+
+    def __mul__(self, other: DiagonalObservable) -> DiagonalObservable:
+        return self._combined(other, np.multiply)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiagonalObservable)

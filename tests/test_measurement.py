@@ -252,6 +252,17 @@ def test_sum_rule_requires_disjoint_projectors():
                         sc.observable("N(1-)"), sc.observable("N(1-|1+)"))
 
 
+@pytest.mark.parametrize("report", [sum_rule_report, product_rule_report])
+@pytest.mark.parametrize("labels", [("a", "b", "c"), ("x", "y")],
+                         ids=["other-dimension", "other-labels"])
+def test_rule_reports_reject_observables_over_different_spaces(report, labels):
+    space = StateSpace(("a", "b"))
+    first = DiagonalObservable(space, [1.0, 0.0])
+    second = DiagonalObservable(StateSpace(labels), [0.0] + [1.0] * (len(labels) - 1))
+    with pytest.raises(DimensionMismatch, match="^observables live over different spaces$"):
+        report(KetState(space, [1, 1]), KetState(space, [1, 0]), first, second)
+
+
 def test_product_rule_failure():
     sc = hardy()
     report = product_rule_report(sc.initial, sc.final("f"),

@@ -3,10 +3,10 @@ import pytest
 
 from _invariants import class_values
 from qpaths import (DiagonalObservable, KetState, MeterModel, StateSpace,
-                    build_network, decompose, grid_mean_reading, hardy, mean_reading,
-                    projective_joint, reading_amplitude, scaled_widths, three_box,
-                    verification_checks)
-from qpaths import meter
+                    build_network, built_in_library, decompose, grid_mean_reading, hardy,
+                    mean_reading, projective_joint, reading_amplitude, scaled_widths,
+                    three_box, verification_checks)
+from qpaths import meter, oracle
 from qpaths.meter import BLOCK_ROWS
 
 
@@ -57,6 +57,24 @@ def test_verification_checks_all_pass():
     assert any(name.startswith("projective three-box") for name in names)
     assert any(name.startswith("mean-reading hardy-epsilon") for name in names)
     assert names[-1] == "grid-refinement hardy"
+
+
+def test_verification_builds_one_network_per_checked_transition(monkeypatch):
+    # the projective and mean-reading checks read one network; only the grid
+    # refinement decomposes its transition itself
+    calls = {"decompose": 0, "build_network": 0}
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(oracle, name, call)
+
+    counted("decompose", decompose)
+    counted("build_network", build_network)
+    assert len(verification_checks()) == 39
+    transitions = sum(len(sc.observables) * len(sc.finals) for sc in built_in_library())
+    assert calls == {"decompose": 1, "build_network": transitions}
 
 
 def test_verification_never_reaches_the_factored_kernel(monkeypatch):

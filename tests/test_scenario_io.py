@@ -229,6 +229,37 @@ def test_error_missing_sections():
                  needle="at least one query")
 
 
+@pytest.mark.parametrize("keyword, text, line", [
+    ("name", "name = a\nname oops\n" + MINIMAL, 2),
+    ("dimension", "dimension = 2\n" + MINIMAL.replace("dimension = 2", "dimension = x"), 2),
+    ("basis", MINIMAL.replace("basis = up down", "basis = up down\nbasis"), 3),
+])
+def test_error_duplicate_section(keyword, text, line):
+    # the repeated line is rejected as a repeat before its own rules are checked
+    expect_error(text, line, 1, f"duplicate '{keyword}' line")
+
+
+LONG = 100_000
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    pytest.param("k" * LONG + " = 2\n", 1, 1,
+                 f"unknown section {'k' * 40!r}... ({LONG} characters) (expected name, "
+                 "dimension, basis, state, observable, or query)", id="section-keyword"),
+    pytest.param(f"dimension = 2\nbasis = a b\nstate {'s' * LONG} = 1\n", 3, 1,
+                 f"expected 2 values for {'s' * 40!r}... ({LONG} characters), got 1",
+                 id="state-name"),
+    pytest.param("dimension = 1" + "0" * 3999 + "\nbasis = a b\n", 2, 1,
+                 "expected 1" + "0" * 39 + "... (4000 characters) basis labels, got 2",
+                 id="dimension"),
+])
+def test_error_lines_quote_a_long_token_by_an_excerpt(text, line, column, message):
+    with pytest.raises(ScenarioParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+    assert len(str(err.value).encode()) < 200
+
+
 def test_error_unknown_query_kind():
     text = MINIMAL + "query destiny\n"
     expect_error(text, 6, 7, "unknown query kind")
@@ -236,6 +267,10 @@ def test_error_unknown_query_kind():
 
 def test_error_query_argument_shape():
     expect_error(MINIMAL + "query weak final f obs=A\n", 6, 12, "key=value")
+    expect_error(MINIMAL + "query weak =f obs=A\n", 6, 12,
+                 "query argument '=f' must look like key=value")
+    expect_error(MINIMAL + "query weak final= obs=A\n", 6, 12,
+                 "query argument 'final=' must look like key=value")
     expect_error(MINIMAL + "query weak final=f final=f obs=A\n", 6, 20, "duplicate query argument")
 
 
