@@ -2,10 +2,19 @@
 
 Every library error derives from QPathsError so callers can catch one
 base class.  Each class carries the exit code the command-line
-interface returns for it.
+interface returns for it.  A message that names a piece of input text
+gives at most its first 40 characters (_quoted).
 """
 
 from __future__ import annotations
+
+
+def _quoted(text: str, form=repr) -> str:
+    """The text as an error message names it: form(text), quoted by default, with
+    text cut to its first 40 characters and its length given when it is longer."""
+    if len(text) <= 40:
+        return form(text)
+    return f"{form(text[:40])}... ({len(text)} characters)"
 
 
 class QPathsError(Exception):
@@ -51,7 +60,11 @@ class UnknownNameError(QPathsError, KeyError):
         self.kind = kind
         self.name = name
         self.known = known
-        super().__init__(f"unknown {kind} {name!r}; known: {', '.join(known) or '(none)'}")
+        # each known name cut as the unknown one is, unquoted; ten of them at most
+        listed = ", ".join(_quoted(k, str) for k in known[:10]) or "(none)"
+        if len(known) > 10:
+            listed += f", ... ({len(known)} in all)"
+        super().__init__(f"unknown {kind} {_quoted(name)}; known: {listed}")
 
     def __str__(self) -> str:
         return self.args[0]

@@ -2,9 +2,9 @@
 
 Two different computation routes back the main library:
 
-* projective_joint re-derives the accurate-measurement statistics with
-  explicit spectral projector matrices and dense linear algebra, never
-  touching the path decomposition;
+* projective_joint re-derives the accurate-measurement statistics by
+  applying each spectral projector as the mask of its eigenvalue's basis
+  states, never touching the path decomposition;
 * grid_mean_reading integrates meter.reading_amplitude's pointer density (the
   kernel's Gaussian) on a wide grid, never using the closed-form overlap kernel.
 
@@ -33,17 +33,12 @@ def projective_joint(initial: KetState, final: KetState,
                      observable: DiagonalObservable) -> dict[float, float]:
     """Joint probability of each reading with the post-selection.
 
-    Computed as |<f| P_a |i>|^2 with P_a the explicit projector matrix
-    onto the eigenvalue-a subspace.  Keys are the distinct eigenvalues.
+    |<f| P_a |i>|^2, with P_a the projector onto the eigenvalue-a subspace applied as
+    its mask: conj(f_n) i_n summed over the n with F(n) = a.  Keys are the eigenvalues.
     """
-    f = final.amplitudes
-    i = initial.amplitudes
-    result: dict[float, float] = {}
-    for ev in observable.classes.values.tolist():
-        projector = np.diag((observable.eigenvalues == ev).astype(float))
-        bracket = np.conjugate(f) @ projector @ i
-        result[ev] = float(abs(bracket) ** 2)
-    return result
+    terms = np.conjugate(final.amplitudes) * initial.amplitudes
+    return {ev: float(abs(terms[observable.eigenvalues == ev].sum()) ** 2)
+            for ev in observable.classes.values.tolist()}
 
 
 def grid_mean_reading(decomposition: PathDecomposition,

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScenarioParseError, UnknownNameError, ZeroStateError
+from .errors import ScenarioParseError, UnknownNameError, ZeroStateError, _quoted
 from .meter import scaled_widths
 from .statespace import (DiagonalObservable, KetState, StateSpace,
                          overlapping_pairs, unit_scaled)
@@ -147,13 +147,6 @@ def _tokenize(raw: str) -> list[tuple[str, int]]:
     shape = _flatten(text) if _NESTED_GROUP_RE.search(text) else text
     return [(text[start:end], start + 1)
             for start, end in map(re.Match.span, _TOKEN_RE.finditer(shape))]
-
-
-def _quoted(literal: str) -> str:
-    """The literal as an error message quotes it: its repr, cut to 40 characters."""
-    if len(literal) <= 40:
-        return repr(literal)
-    return f"{literal[:40]!r}... ({len(literal)} characters)"
 
 
 def _real_value(part: str, line: int, col: int) -> float:
@@ -281,9 +274,9 @@ def parse(text: str) -> ScenarioDocument:
             _expect_equals(tokens, 1, lineno)
             labels = tokens[2:]
             if len(labels) != dimension:
-                digits = _quoted(str(dimension)).replace("'", "")  # the excerpt rule, unquoted
                 raise ScenarioParseError(
-                    f"expected {digits} basis labels, got {len(labels)}", lineno, kcol)
+                    f"expected {_quoted(str(dimension), str)} basis labels, got {len(labels)}",
+                    lineno, kcol)
             seen: dict[str, int] = {}
             for label, col in labels:
                 _check_name(label, "basis label", lineno, col)

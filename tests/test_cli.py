@@ -261,6 +261,44 @@ def test_exit_code_unknown_names(capsys):
     assert "unknown observable" in err
 
 
+LONG_NAME = "z" * 100_000
+LONG_EXCERPT = f"{'z' * 40!r}... (100000 characters)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("weak", "--scenario", "hardy", "--final", LONG_NAME, "--obs", "N(2+)"),
+                 f"unknown final state {LONG_EXCERPT}; known: f, g, h, j, gamma", id="final"),
+    pytest.param(("weak", "--scenario", LONG_NAME, "--final", "f", "--obs", "N(2+)"),
+                 f"unknown scenario {LONG_EXCERPT}; known: hardy, hardy-epsilon, three-box",
+                 id="scenario"),
+])
+def test_unknown_long_names_print_one_short_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err.encode()) < 1024
+
+
+def test_unknown_names_in_a_file_print_one_short_error_line(tmp_path, capsys):
+    # the unknown name is quoted by its excerpt, each known name is cut the same way,
+    # and ten known names are listed before the rest are counted
+    finals = "".join(f"state {k:02d}{'f' * 998} = 0 1\n" for k in range(40))
+    head = "dimension = 2\nbasis = a b\nstate i = 1 0\nobservable A = 1 0\n"
+    for text, where, message in (
+            (head + f"state f = 0 1\nquery network final={LONG_NAME} obs=A\n", "6, column 15",
+             f"unknown final state {LONG_EXCERPT}; known: f"),
+            (head + f"state f = 0 1\nquery network final=f obs={LONG_NAME}\n", "6, column 23",
+             f"unknown observable {LONG_EXCERPT}; known: A"),
+            (head + finals + "query network final=zz obs=A\n", "45, column 15",
+             "unknown final state 'zz'; known: "
+             + ", ".join(f"{k:02d}{'f' * 38}... (1000 characters)" for k in range(10))
+             + ", ... (40 in all)")):
+        target = tmp_path / "long.scn"
+        target.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(target))
+        assert (code, out, err) == (2, "", f"error: {target}: line {where}: {message}\n")
+        assert len(err.encode()) < 1024
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text("dimension = 2\nbasis = a a\n", encoding="utf-8")

@@ -252,6 +252,17 @@ def test_sum_rule_requires_disjoint_projectors():
                         sc.observable("N(1-)"), sc.observable("N(1-|1+)"))
 
 
+@pytest.mark.parametrize("report, rule", [(sum_rule_report, "sum"),
+                                          (product_rule_report, "product")])
+def test_rule_reports_require_projectors(report, rule):
+    # the CLI rejects a non-projector before it calls a report; the library call checks itself
+    sc = hardy()
+    doubled = DiagonalObservable(sc.space, 2.0 * sc.observable("N(1-)").eigenvalues)
+    for first, second in ((doubled, sc.observable("N(2-)")), (sc.observable("N(2-)"), doubled)):
+        with pytest.raises(NonProjectorError, match=f"^{rule} rule applies to projectors$"):
+            report(sc.initial, sc.final("f"), first, second)
+
+
 @pytest.mark.parametrize("report", [sum_rule_report, product_rule_report])
 @pytest.mark.parametrize("labels", [("a", "b", "c"), ("x", "y")],
                          ids=["other-dimension", "other-labels"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qpaths import (DiagonalObservable, KetState, MeterModel, StateSpace,
                     three_box, verification_checks)
 from qpaths import meter, oracle
 from qpaths.meter import BLOCK_ROWS
+from qpaths.oracle import PROJECTIVE_TOL
 
 
 def test_projective_joint_matches_networks_everywhere():
@@ -25,6 +28,46 @@ def test_projective_joint_exact_hardy_values():
     sc = hardy()
     joint = projective_joint(sc.initial, sc.final("f"), sc.observable("N(1-|1+)"))
     assert joint == {1.0: 0.0625, 0.0: 0.25}
+
+
+def random_transition(n: int, seed: int) -> tuple[KetState, KetState]:
+    rng = np.random.default_rng(seed)
+    space = StateSpace.of_dimension(n)
+    initial, final = (KetState(space, rng.normal(size=n) + 1j * rng.normal(size=n))
+                      for _ in range(2))
+    return initial, final
+
+
+@pytest.mark.parametrize("classes", [2, 2048], ids=["two-classes", "distinct"])
+def test_projective_joint_matches_networks_at_large_dimension(classes):
+    initial, final = random_transition(2048, classes)
+    obs = DiagonalObservable(initial.space, np.arange(2048) % classes)
+    net = build_network(initial, final, obs)
+    reference = projective_joint(initial, final, obs)
+    assert tuple(reference) == class_values(net)
+    for ev, prob in reference.items():
+        assert abs(net.probability_of(ev) - prob) <= PROJECTIVE_TOL
+
+
+def test_projective_joint_builds_no_dimension_squared_array():
+    # each projector is its eigenvalue's mask; an n x n projector matrix takes 32 MiB here
+    initial, final = random_transition(2048, 0)
+    obs = DiagonalObservable(initial.space, np.arange(2048) % 2)
+    tracemalloc.start()
+    try:
+        projective_joint(initial, final, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_projective_checks_read_exactly_zero():
+    # the mask route makes no BLAS call, so its bits do not depend on the kernel; on
+    # the built-in transitions they are the networks' bits
+    projective = [c for c in verification_checks() if c.name.startswith("projective ")]
+    assert len(projective) == 19
+    assert [c.deviation for c in projective] == [0.0] * 19
 
 
 def test_grid_requires_enough_points():

@@ -222,6 +222,7 @@ def test_error_bad_document_name():
 
 def test_error_missing_sections():
     expect_error("# nothing\n", 1, needle="missing 'dimension'")
+    expect_error("dimension = 2\nquery amplitudes\n", 2, 1, "missing 'basis' line")
     expect_error("dimension = 2\nbasis = a b\n", 2, needle="missing 'state'")
     expect_error("dimension = 2\nbasis = a b\nstate i = 1 0\n", 3,
                  needle="at least one final")
@@ -260,9 +261,26 @@ def test_error_lines_quote_a_long_token_by_an_excerpt(text, line, column, messag
     assert len(str(err.value).encode()) < 200
 
 
+@pytest.mark.parametrize("text, line, column, message", [
+    pytest.param("dimension = 2\nbasis = a=b c\n", 2, 9,
+                 "basis label 'a=b' may not contain '='", id="basis-label"),
+    pytest.param("dimension = 2\nbasis = a b\nstate i=j = 1 0\n", 3, 7,
+                 "state name 'i=j' may not contain '='", id="state-name"),
+    pytest.param("dimension = 2\nbasis = a b\nstate\n", 3, 1,
+                 "'state' needs a name", id="no-state-name"),
+])
+def test_error_lines_for_malformed_names(text, line, column, message):
+    with pytest.raises(ScenarioParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
 def test_error_unknown_query_kind():
     text = MINIMAL + "query destiny\n"
     expect_error(text, 6, 7, "unknown query kind")
+    expect_error(MINIMAL + "query  # and nothing else\n", 6, 1,
+                 "'query' needs a kind: one of amplitudes, probabilities, network, weak, "
+                 "mean-reading, scan, sum-rule, product-rule")
 
 
 def test_error_query_argument_shape():

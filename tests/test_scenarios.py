@@ -126,6 +126,28 @@ def test_lookup_in_an_empty_mapping_says_none():
     assert str(info.value) == "unknown observable 'N(1+)'; known: (none)"
 
 
+def test_unknown_name_messages_list_short_names_in_full():
+    sc = hardy()
+    with pytest.raises(UnknownNameError) as info:
+        sc.final("zz")
+    assert str(info.value) == "unknown final state 'zz'; known: f, g, h, j, gamma"
+    with pytest.raises(UnknownNameError) as info:
+        sc.observable("N(3+)")
+    assert str(info.value) == ("unknown observable 'N(3+)'; known: " + ", ".join(sc.observables))
+    assert len(sc.observables) == 8
+
+
+def test_unknown_name_messages_cut_long_names_and_long_lists():
+    name = "q" * 41
+    known = tuple(f"k{j}" for j in range(11)) + ("k" * 100,)
+    message = str(UnknownNameError("observable", name, known))
+    assert message == (f"unknown observable {'q' * 40!r}... (41 characters); known: "
+                       "k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, ... (12 in all)")
+    message = str(UnknownNameError("observable", "x" * 40, ("k" * 40, "k" * 100)))
+    assert message == (f"unknown observable {'x' * 40!r}; known: {'k' * 40}, "
+                       f"{'k' * 40}... (100 characters)")
+
+
 def test_epsilon_grid():
     grid = epsilon_grid(1e-6, 1.0, 7)
     assert grid[0] == pytest.approx(1e-6, rel=1e-12)

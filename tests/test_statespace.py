@@ -176,6 +176,17 @@ def test_observable_algebra():
         p + DiagonalObservable(StateSpace(("x",)), [1.0])
 
 
+def test_observable_and_expectation_reject_another_dimension():
+    space = StateSpace(("a", "b"))
+    with pytest.raises(DimensionMismatch,
+                       match="^observable has 3 eigenvalues, space has dimension 2$"):
+        DiagonalObservable(space, [1.0, 0.0, 1.0])
+    other = StateSpace(("a", "b", "c"))
+    with pytest.raises(DimensionMismatch,
+                       match="^state and observable live over different spaces$"):
+        expectation(KetState(space, [1.0, 1.0]), DiagonalObservable(other, [1.0, 0.0, 1.0]))
+
+
 def test_observable_rejects_nonfinite():
     space = StateSpace(("a", "b"))
     with pytest.raises(ValueError):
